@@ -1,6 +1,6 @@
 """Command-line interface: build subexpression graphs, verify connectivity
 and cycle-space spanning, emit and replay decomposition certificates, and
-reproduce the cycle-length table.
+sweep a root-system type (connectivity, spanning, or the cycle-length table).
 
 Input is a UTF-8 JSON spec file; infinite Coxeter-matrix entries are the
 string "inf".  All outputs are deterministic: fixed orderings everywhere,
@@ -13,17 +13,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from . import coxeter, cyclespace as cs, sweeps
-from .coxeter import CoxeterSystem, Element
-from .expressions import Expression, build_all_graphs, build_graph
+from .coxeter import CoxeterSystem, MalformedMatrix
+from .expressions import (Expression, TooLarge, build_all_graphs, build_graph,
+                          is_connected)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# --max-len of a connectivity or span sweep when none is given
+SWEEP_MAX_LEN = {"connectivity": 10, "span": 8}
 
 
 class SpecError(ValueError):
@@ -39,10 +43,16 @@ class JobSpec:
     expression: Tuple[int, ...]
     target: Union[str, Tuple[int, ...]]        # "all" or a word
     max_len: Optional[int] = None
-    eps: Optional[float] = None
 
     def system(self) -> CoxeterSystem:
         return CoxeterSystem(self.matrix)
+
+
+def _matrix_for(type_name: str, rank: Optional[int]):
+    try:
+        return coxeter.coxeter_matrix_for(type_name, rank)
+    except ValueError as exc:
+        raise SpecError(str(exc))
 
 
 def load_spec(path: str, args) -> JobSpec:
@@ -50,10 +60,12 @@ def load_spec(path: str, args) -> JobSpec:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read spec {path}: {exc}")
+    if "eps" in data:
+        raise SpecError("spec key eps is not supported: the tolerance is fixed")
     if "coxeter_matrix" in data:
         matrix = data["coxeter_matrix"]
     elif "type" in data:
-        matrix = coxeter.coxeter_matrix_for(data["type"], data.get("rank"))
+        matrix = _matrix_for(data["type"], data.get("rank"))
     else:
         raise SpecError("spec needs a coxeter_matrix or a type")
     try:
@@ -78,13 +90,9 @@ def load_spec(path: str, args) -> JobSpec:
     if target != "all":
         target = word(target)
     spec = JobSpec(matrix, list(gens), expression, target,
-                   data.get("max_len"), data.get("eps"))
+                   data.get("max_len"))
     if args.max_len is not None:
         spec.max_len = args.max_len
-    if args.eps is not None:
-        spec.eps = args.eps
-    if spec.eps is not None:
-        coxeter.EPS = float(spec.eps)
     if spec.max_len is not None and len(spec.expression) > spec.max_len:
         raise SpecError(f"expression longer than --max-len {spec.max_len}")
     return spec
@@ -138,7 +146,7 @@ def cmd_verify(args) -> int:
         entry = {"index": idx, "n_vertices": g.n_vertices,
                  "n_edges": g.n_edges}
         if args.what == "connectivity":
-            entry["connected"] = g.n_vertices <= 1 or g.n_components() == 1
+            entry["connected"] = is_connected(g)
             entry["ok"] = entry["connected"]
         elif args.what == "span":
             rep = cs.verify_span(g)
@@ -164,18 +172,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_table1(args) -> int:
-    try:
+def cmd_sweep(args) -> int:
+    """Sweep one type; table1 compares minimum-basis lengths with its row."""
+    matrix = _matrix_for(args.type, args.rank)     # rejects unknown types
+    if args.mode == "table1":
+        if args.samples is not None:
+            raise SpecError("sweep table1 takes no --samples")
+        try:
+            sweeps.table1_row(args.type)
+        except ValueError as exc:
+            raise SpecError(str(exc))
         rep = sweeps.table1_report(args.type, args.rank, args.max_len,
                                    jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    else:
+        max_len = args.max_len
+        if max_len is None:
+            max_len = SWEEP_MAX_LEN[args.mode]
+        if args.samples is None:
+            words = sweeps.sweep_words(matrix, max_len, exhaustive_cap=max_len)
+        else:
+            words = sweeps.random_words(len(matrix), args.samples, max_len,
+                                        args.seed)
+        rep = sweeps.run_sweep(matrix, words, args.mode, jobs=args.jobs)
+        rep["type"] = args.type
     text = json.dumps(rep, sort_keys=True, indent=2)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "table1.json").write_text(text + "\n", encoding="utf-8")
+        (outdir / f"{args.mode}.json").write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK if rep["ok"] else EXIT_FAIL
 
@@ -184,17 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="subexpr",
         description="subexpression graphs of Coxeter groups and their cycle spaces")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for sweeps")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, needs_spec=True):
-        if needs_spec:
-            p.add_argument("--spec", required=True, help="JSON problem spec")
+    def common(p):
+        p.add_argument("--spec", required=True, help="JSON problem spec")
         p.add_argument("--max-len", type=int, default=None,
                        help="expression length cap")
-        p.add_argument("--eps", type=float, default=None,
-                       help="numeric tolerance override")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("graph", help="export Sub(s,w) as DOT plus stats")
@@ -206,12 +225,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("table1", help="reproduce a cycle-length table row")
-    p.add_argument("type", help="root system type (A1, An, B2, Bn, Dn, F4, G2)")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_table1)
+    p = sub.add_parser("sweep", help="sweep the words of a root-system type")
+    p.add_argument("mode", choices=["connectivity", "span", "table1"])
+    p.add_argument("type", help="root system type (A1, An, B2, Bn, Dn, F4, G2, A2~)")
+    p.add_argument("--rank", type=int, default=None,
+                   help="rank of An, Bn or Dn")
+    p.add_argument("--max-len", type=int, default=None,
+                   help="longest word (default: 10 connectivity, 8 span, "
+                        "the type's table cap for table1)")
+    p.add_argument("--samples", type=int, default=None,
+                   help="check this many random words instead of all words")
+    p.add_argument("--seed", type=int, default=2024,
+                   help="seed of the random words")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--out", default=None,
+                   help="directory for <mode>.json, a copy of the report")
+    p.set_defaults(fn=cmd_sweep)
     return ap
 
 
@@ -219,10 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SpecError, MalformedMatrix, TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-# Single global tolerance for every numeric equality / sign test.
+# Tolerance of the numeric equality and sign tests.  Interning does not use
+# it: element and root keys are values rounded to _KEY_DECIMALS places.
 EPS = 1e-9
 
 _KEY_DECIMALS = 6
@@ -173,14 +174,6 @@ class Element:
         return Element(self.system, np.linalg.inv(self.matrix), word)
 
 
-@dataclass
-class RootVec:
-    """A root in simple-root coordinates."""
-
-    system: CoxeterSystem
-    coeffs: np.ndarray
-
-
 # -- spec operations ---------------------------------------------------------
 
 def new_system(cox_matrix) -> CoxeterSystem:
@@ -190,8 +183,7 @@ def new_system(cox_matrix) -> CoxeterSystem:
 
 def act(w: Element, v) -> np.ndarray:
     """Image of the vector v under the element w."""
-    vec = v.coeffs if isinstance(v, RootVec) else np.asarray(v, dtype=float)
-    return w.matrix @ vec
+    return w.matrix @ np.asarray(v, dtype=float)
 
 
 def reflect(system: CoxeterSystem, v, u) -> np.ndarray:
@@ -213,12 +205,6 @@ def root_sign_vec(vec) -> int:
     if not has_pos and not has_neg:
         raise MixedSigns(f"zero vector is not a root: {v}")
     return 1 if has_pos else -1
-
-
-def root_sign(v) -> int:
-    """Spec-facing alias of root_sign_vec (accepts RootVec)."""
-    vec = v.coeffs if isinstance(v, RootVec) else v
-    return root_sign_vec(vec)
 
 
 def elements_equal(x: Element, y: Element) -> bool:

@@ -67,34 +67,7 @@ def gf2_rank(vectors: Iterable[int]) -> int:
     return basis.rank
 
 
-# -- edge sets and generator cycles ------------------------------------------
-
-@dataclass
-class EdgeSet:
-    """A set of edges of a host graph as a bitmask over its edge index."""
-
-    graph: SubexprGraph
-    bits: int = 0
-
-    def __xor__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.graph, self.bits ^ other.bits)
-
-    def degrees(self) -> List[int]:
-        deg = [0] * self.graph.n_vertices
-        b = self.bits
-        k = 0
-        while b:
-            if b & 1:
-                a, c, _ = self.graph.edges[k]
-                deg[a] += 1
-                deg[c] += 1
-            b >>= 1
-            k += 1
-        return deg
-
-    def is_even(self) -> bool:
-        return all(d % 2 == 0 for d in self.degrees())
-
+# -- generator cycles ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class GeneratorCycle:
@@ -282,11 +255,7 @@ def _resolve_crossing(g: SubexprGraph, v: int, pair1, pair2):
     return out
 
 
-def _as_bits(even) -> int:
-    return even.bits if isinstance(even, EdgeSet) else int(even)
-
-
-def decompose(g: SubexprGraph, even) -> List[GeneratorCycle]:
+def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
     """Write an even edge set as a GF(2) sum of generator cycles.
 
     Induction on the maximal incident vertex: move every residue edge
@@ -294,10 +263,8 @@ def decompose(g: SubexprGraph, even) -> List[GeneratorCycle]:
     (single Tr/Sq for shared, disjoint or nested pairs; dihedral-cycle
     images for crossing pairs).
     """
-    residue = _as_bits(even)
-    deg = EdgeSet(g, residue).degrees()
-    if any(d % 2 for d in deg):
-        raise NotEven("input edge set has a vertex of odd degree")
+    residue = 0
+    deg = [0] * g.n_vertices               # degree of each vertex in residue
     out: List[GeneratorCycle] = []
 
     def toggle(bits: int):
@@ -313,6 +280,9 @@ def decompose(g: SubexprGraph, even) -> List[GeneratorCycle]:
             b ^= low
         residue ^= bits
 
+    toggle(even)
+    if any(d % 2 for d in deg):
+        raise NotEven("input edge set has a vertex of odd degree")
     last_top: Optional[int] = None
     while residue:
         v = max(t for t, d in enumerate(deg) if d)

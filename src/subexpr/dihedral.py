@@ -182,13 +182,6 @@ def _ab_expression(n, letters) -> Expression:
     return Expression(i2_system(n), letters)
 
 
-def apply_morphism(m: Morphism, sub_or_fold):
-    """Transport a source mask or a fold pair through a morphism."""
-    if isinstance(sub_or_fold, tuple) and len(sub_or_fold) == 2:
-        return m.apply_fold(*sub_or_fold)
-    return m.apply_mask(sub_or_fold)
-
-
 # -- signature moves ---------------------------------------------------------
 
 def signature_move(eps: Sequence[int], k: int, l: int) -> Tuple[int, ...]:

@@ -13,7 +13,6 @@ All indices are 0-based in code.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -104,11 +103,6 @@ class Subexpression:
     def arrow_root(self, i: int) -> np.ndarray:
         """gamma^{->i+1} as a vector."""
         return self.expr.system.root_vec(self.roots[i])
-
-    def arrow_root_from(self, i: int) -> np.ndarray:
-        """The companion root gamma^{<i+2}(-e_{s_i}) read from the far side."""
-        sys_ = self.expr.system
-        return -sys_.elem_matrix(self.prefix_ids[i + 1])[:, self.expr.letters[i]]
 
     def __eq__(self, other):
         return self.expr is other.expr and self.bits == other.bits
@@ -236,6 +230,9 @@ def subexpr_classes(expr: Expression) -> Dict[int, list]:
     """
     sys_ = expr.system
     m = len(expr)
+    if m > ENUMERATION_LIMIT:
+        raise TooLarge(f"expression length {m} exceeds the limit "
+                       f"{ENUMERATION_LIMIT}")
     classes: Dict[int, list] = {}
     pids = [0] * (m + 1)
     rids = [0] * m
@@ -336,7 +333,10 @@ def _graph_from_records(expr: Expression, eid: int, records) -> SubexprGraph:
     verts = [Subexpression(expr, [(mask >> i) & 1 for i in range(len(expr))],
                            pids, rids)
              for mask, pids, rids in records]
-    verts.sort(key=functools.cmp_to_key(order_compare))
+    # Two vertices of a class agree after their last differing position i,
+    # so their roots after i are equal and their roots at i are opposite:
+    # order_compare is the comparison of the signs read from the right.
+    verts.sort(key=lambda v: tuple(r > 0 for r in reversed(v.roots)))
     vidx = {v.mask: i for i, v in enumerate(verts)}
     edges = []
     for i, v in enumerate(verts):
@@ -358,8 +358,6 @@ def _graph_from_records(expr: Expression, eid: int, records) -> SubexprGraph:
 
 def build_graph(expr: Expression, w: Element) -> SubexprGraph:
     """The graph Sub(s, w)."""
-    if len(expr) > ENUMERATION_LIMIT:
-        raise TooLarge(f"expression length {len(expr)} exceeds the limit")
     classes = subexpr_classes(expr)
     eid = expr.system.element_id(w.matrix)
     records = classes.get(eid, [])
@@ -368,8 +366,6 @@ def build_graph(expr: Expression, w: Element) -> SubexprGraph:
 
 def build_all_graphs(expr: Expression) -> List[SubexprGraph]:
     """One Sub(s,w) per realized target class, in deterministic order."""
-    if len(expr) > ENUMERATION_LIMIT:
-        raise TooLarge(f"expression length {len(expr)} exceeds the limit")
     classes = subexpr_classes(expr)
     return [_graph_from_records(expr, eid, recs)
             for eid, recs in sorted(classes.items())]

@@ -100,18 +100,16 @@ def check_word(system: CoxeterSystem, letters, mode: str) -> dict:
         return out
     lengths = set()
     for g in graphs:
-        gens = cs.enumerate_generators(g)
         if mode == "span":
-            dim = cs.cycle_space_dim(g)
-            rank = cs.gf2_rank(c.edges for c in gens)
-            lengths |= {c.length for c in gens}
-            if rank != dim:
+            rep = cs.verify_span(g)
+            lengths.update(rep["lengths"])
+            if not rep["ok"]:
                 out["ok"] = False
                 out.setdefault("witness", []).append(
-                    {"dim": dim, "rank": rank,
+                    {"dim": rep["dim"], "rank": rep["rank"],
                      "vertex": "".join(map(str, g.vertices[0].bits))})
         else:                                   # table1: minimum-length basis
-            lengths |= {c.length for c in cs.min_length_basis(g, gens)}
+            lengths |= {c.length for c in cs.min_length_basis(g)}
     out["lengths"] = sorted(lengths)
     return out
 

@@ -86,15 +86,31 @@ def test_verify_decompose_writes_replayable_certificates(tmp_path):
             assert all(set(v) <= {"0", "1"} for v in cyc["vertices"])
 
 
-def test_table1_quick(capsys):
-    code = main(["table1", "A1", "--max-len", "4"])
+def test_table1_quick(capsys, tmp_path):
+    out = tmp_path / "t"
+    code = main(["sweep", "table1", "A1", "--max-len", "4", "--out", str(out)])
     assert code == EXIT_OK
-    rep = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    rep = json.loads(text)
     assert rep["observed"] == [3] and rep["ok"]
+    assert (out / "table1.json").read_text() == text
 
 
 def test_table1_unknown_type(capsys):
-    assert main(["table1", "Z9", "--max-len", "3"]) == EXIT_USAGE
+    assert main(["sweep", "table1", "Z9", "--max-len", "3"]) == EXIT_USAGE
+    assert main(["sweep", "span", "Z9", "--max-len", "3"]) == EXIT_USAGE
+
+
+def test_sweep_span_and_connectivity(capsys):
+    assert main(["sweep", "span", "B2", "--max-len", "4"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and rep["type"] == "B2" and rep["mode"] == "span"
+    assert rep["words"] == 31 and rep["lengths"] == [3, 4]
+    assert main(["sweep", "connectivity", "A2~", "--max-len", "6",
+                 "--samples", "20", "--seed", "7", "--jobs", "2"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and rep["words"] == 20 and rep["failures"] == []
+    assert main(["sweep", "table1", "A1", "--samples", "5"]) == EXIT_USAGE
 
 
 def test_bad_spec_file(tmp_path):
@@ -131,10 +147,28 @@ def test_max_len_guard_and_eps_override(tmp_path):
                       expression=["s1", "s2", "s1", "s2"])
     assert main(["graph", "--spec", spec, "--max-len", "2",
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
-    old = coxeter.EPS
-    try:
-        assert main(["graph", "--spec", spec, "--eps", "1e-8",
-                     "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert coxeter.EPS == 1e-8
-    finally:
-        coxeter.EPS = old
+    # the tolerance is fixed: neither a spec key nor a flag may set it
+    eps = coxeter.EPS
+    with_eps = write_spec(tmp_path, name="eps.json",
+                          coxeter_matrix=[[1, 3], [3, 1]],
+                          expression=["s1", "s2"], eps=1e-8)
+    assert main(["graph", "--spec", with_eps,
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--spec", spec, "--eps", "1e-8",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_USAGE
+    assert coxeter.EPS == eps
+
+
+@pytest.mark.parametrize("data", [
+    {"coxeter_matrix": [[1, 3], [4, 1]], "expression": ["s1"]},
+    {"type": "Z9", "expression": []},
+    {"type": "A2", "expression": ["s1", "s2"] * 13},
+], ids=["non-symmetric", "unknown-type", "too-long"])
+def test_bad_input_exits_usage(tmp_path, capsys, data):
+    spec = write_spec(tmp_path, **data)
+    assert main(["verify", "span", "--spec", spec,
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

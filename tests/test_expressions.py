@@ -134,16 +134,23 @@ def test_gallery_wall_separation(gamma_full, a2):
         assert moved == bool(gamma_full.bits[i])
 
 
-def test_build_graph_matches_brute_force(a2):
+def test_build_graph_matches_brute_force(a2, b2):
     expr = Expression(a2, (0, 1, 0, 1))
     g = build_graph(expr, a2.identity())
     masks = {v.mask for v in g.vertices}
     brute = {m for m in range(1 << 4)
              if subexpr_from_mask(expr, m).target_id() == 0}
     assert masks == brute
-    # vertices ascend in the order
-    for u, v in zip(g.vertices, g.vertices[1:]):
-        assert order_compare(u, v) == -1
+    # vertices ascend in the order: every class of the B2 words up to 6
+    # letters, and one 12-letter affine word
+    a2t = named_system("A2~")
+    graphs = [g] + build_all_graphs(Expression(a2t, (0, 1, 2, 0, 2, 1) * 2))
+    for word in itertools.chain.from_iterable(
+            itertools.product(range(2), repeat=L) for L in range(7)):
+        graphs += build_all_graphs(Expression(b2, word))
+    for h in graphs:
+        for u, v in zip(h.vertices, h.vertices[1:]):
+            assert order_compare(u, v) == -1
     # edges are exactly the applicable folds between class members
     for a, b, color in g.edges:
         va, vb = g.vertices[a], g.vertices[b]
