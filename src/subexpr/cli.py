@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple, Union
 
 from . import coxeter, cyclespace as cs, sweeps
 from .coxeter import CoxeterSystem, MalformedMatrix
-from .expressions import (Expression, TooLarge, build_all_graphs, build_graph,
-                          is_connected)
+from .expressions import (Expression, NotRealized, TooLarge, build_all_graphs,
+                          build_graph, is_connected)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -248,7 +248,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecError, MalformedMatrix, TooLarge, OSError) as exc:
+    except (SpecError, MalformedMatrix, TooLarge, NotRealized,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

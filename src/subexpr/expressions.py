@@ -40,6 +40,10 @@ class TooLarge(ValueError):
     pass
 
 
+class NotRealized(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Expression:
     """A finite word in the generators of a Coxeter system."""
@@ -222,17 +226,32 @@ def gallery_of(gamma: Subexpression) -> Gallery:
 
 # -- the graph Sub(s,w) ------------------------------------------------------
 
-def subexpr_classes(expr: Expression) -> Dict[int, list]:
-    """All subexpressions of expr grouped by target id.
+def subexpr_classes(expr: Expression,
+                    target: Optional[int] = None) -> Dict[int, list]:
+    """Subexpressions of expr grouped by target id.
 
     Returns {target eid: [(mask, prefix_ids, roots), ...]} using a DFS that
-    shares prefix computations across the 2^m bit sequences.
+    shares prefix computations between bit sequences.  Without a target
+    the DFS walks all 2^m bit sequences.  With a target eid it first builds
+    the backward live sets live[i], the prefixes at position i from which
+    some choice of the remaining letters reaches the target, and enters
+    only live states: the cost follows the size of the class, and the
+    result is {target: records} with the records of the full walk in the
+    same order, or {} when no subexpression has that target.
     """
     sys_ = expr.system
     m = len(expr)
     if m > ENUMERATION_LIMIT:
         raise TooLarge(f"expression length {m} exceeds the limit "
                        f"{ENUMERATION_LIMIT}")
+    live = None
+    if target is not None:
+        live = [{target}]
+        for g in reversed(expr.letters):
+            live.append(live[-1] | {sys_.multiply_gen(x, g) for x in live[-1]})
+        live.reverse()
+        if 0 not in live[0]:
+            return {}
     classes: Dict[int, list] = {}
     pids = [0] * (m + 1)
     rids = [0] * m
@@ -245,13 +264,15 @@ def subexpr_classes(expr: Expression) -> Dict[int, list]:
             return
         g = expr.letters[i]
         rids[i] = sys_.arrow_root(eid, g)
-        pids[i + 1] = eid
-        walk(i + 1, eid)
+        if live is None or eid in live[i + 1]:
+            pids[i + 1] = eid
+            walk(i + 1, eid)
         eid2 = sys_.multiply_gen(eid, g)
-        pids[i + 1] = eid2
-        mask[0] |= 1 << i
-        walk(i + 1, eid2)
-        mask[0] &= ~(1 << i)
+        if live is None or eid2 in live[i + 1]:
+            pids[i + 1] = eid2
+            mask[0] |= 1 << i
+            walk(i + 1, eid2)
+            mask[0] &= ~(1 << i)
 
     walk(0, 0)
     return classes
@@ -338,29 +359,30 @@ def _graph_from_records(expr: Expression, eid: int, records) -> SubexprGraph:
     # order_compare is the comparison of the signs read from the right.
     verts.sort(key=lambda v: tuple(r > 0 for r in reversed(v.roots)))
     vidx = {v.mask: i for i, v in enumerate(verts)}
+    # The fold at (p, q), p < q, leads to a greater vertex exactly when
+    # the root at q is negative, so each edge is emitted once, from its
+    # lower end, and the rows come out in ascending (a, b) order.
     edges = []
     for i, v in enumerate(verts):
         groups: Dict[int, List[int]] = {}
-        for pos, rid in enumerate(v.roots):
-            groups.setdefault(abs(rid), []).append(pos)
-        for color, poss in groups.items():
-            if len(poss) < 2:
-                continue
-            for a in range(len(poss)):
-                for b in range(a + 1, len(poss)):
-                    other = v.mask ^ (1 << poss[a]) ^ (1 << poss[b])
-                    j = vidx[other]
-                    if i < j:
-                        edges.append((i, j, color))
-    edges.sort(key=lambda e: (e[0], e[1]))
+        row = []
+        for q, rid in enumerate(v.roots):
+            poss = groups.setdefault(abs(rid), [])
+            if rid < 0:
+                for p in poss:
+                    row.append((vidx[v.mask ^ (1 << p) ^ (1 << q)], -rid))
+            poss.append(q)
+        row.sort()
+        edges.extend((i, j, color) for j, color in row)
     return SubexprGraph(expr, eid, verts, edges)
 
 
 def build_graph(expr: Expression, w: Element) -> SubexprGraph:
-    """The graph Sub(s, w)."""
-    classes = subexpr_classes(expr)
+    """The graph Sub(s, w); NotRealized if no subexpression has target w."""
     eid = expr.system.element_id(w.matrix)
-    records = classes.get(eid, [])
+    records = subexpr_classes(expr, eid).get(eid)
+    if records is None:
+        raise NotRealized("no subexpression of the expression has the target")
     return _graph_from_records(expr, eid, records)
 
 

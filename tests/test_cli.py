@@ -172,3 +172,18 @@ def test_bad_input_exits_usage(tmp_path, capsys, data):
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["graph"], ["verify", "connectivity"],
+                                     ["verify", "span"],
+                                     ["verify", "decompose"]],
+                         ids=["graph", "connectivity", "span", "decompose"])
+def test_unrealized_target_exits_usage(tmp_path, capsys, command):
+    # s1 s2 is no subexpression of (s1): no graph is certified
+    spec = write_spec(tmp_path, type="A2", expression=["s1"],
+                      target=["s1", "s2"])
+    assert main(command + ["--spec", spec,
+                           "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "report.json").exists()

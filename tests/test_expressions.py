@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subexpr.coxeter import elements_equal, named_system
+from subexpr.coxeter import elements_equal, named_system, new_system
 from subexpr.expressions import (DifferentTargets, Expression, IndexOutOfRange,
-                                 NotApplicable, Subexpression, TooLarge,
-                                 build_all_graphs, build_graph, descend_step,
-                                 double_fold, double_fold_applicable,
-                                 gallery_of, is_connected, is_special_pair,
-                                 order_compare, special_pairs,
+                                 NotApplicable, NotRealized, Subexpression,
+                                 TooLarge, build_all_graphs, build_graph,
+                                 descend_step, double_fold,
+                                 double_fold_applicable, gallery_of,
+                                 is_connected, is_special_pair, order_compare,
+                                 special_pairs, subexpr_classes,
                                  subexpr_from_mask, target)
+
+from conftest import words_up_to
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +160,61 @@ def test_build_graph_matches_brute_force(a2, b2):
         diff = [i for i in range(4) if va.bits[i] != vb.bits[i]]
         assert len(diff) == 2
         assert abs(va.roots[diff[0]]) == abs(va.roots[diff[1]]) == color
+
+
+def _small_expressions():
+    """Every word of B2 and G2 up to 6 letters, A3 up to 4, A2~ up to 6 and
+    the rank-3 universal Coxeter group up to 5."""
+    inf = "inf"
+    universal = new_system([[1, inf, inf], [inf, 1, inf], [inf, inf, 1]])
+    for system, max_len in [(named_system("B2"), 6), (named_system("G2"), 6),
+                            (named_system("A3"), 4), (named_system("A2~"), 6),
+                            (universal, 5)]:
+        for word in words_up_to(system.rank, max_len):
+            yield Expression(system, word)
+
+
+def test_pruned_walk_matches_full_walk():
+    # one target's walk gives that class's records of the full walk, in the
+    # same order
+    n_classes = 0
+    for expr in _small_expressions():
+        full = subexpr_classes(expr)
+        for eid, records in full.items():
+            assert subexpr_classes(expr, eid) == {eid: records}
+            n_classes += 1
+    assert n_classes == 18355
+
+
+def test_fold_edges_are_the_hamming_two_pairs():
+    # Sub(s,w) joins two members of a class exactly when they differ in two
+    # positions; edges ascend strictly in (a, b)
+    a2t = named_system("A2~")
+    exprs = itertools.chain(_small_expressions(),
+                            [Expression(a2t, (0, 1, 2, 0, 2, 1) * 2)])
+    for expr in exprs:
+        m = len(expr)
+        for g in build_all_graphs(expr):
+            pairs = set()
+            for a, v in enumerate(g.vertices):
+                for p, q in itertools.combinations(range(m), 2):
+                    b = g.vertex_index.get(v.mask ^ (1 << p) ^ (1 << q))
+                    if b is not None and a < b:
+                        pairs.add((a, b, abs(v.roots[p])))
+            assert set(g.edges) == pairs
+            ends = [e[:2] for e in g.edges]
+            assert ends == sorted(set(ends))
+
+
+def test_unrealized_target(a2):
+    expr = Expression(a2, (0,))
+    w = a2.element_from_word((0, 1))
+    assert subexpr_classes(expr, a2.element_id(w.matrix)) == {}
+    with pytest.raises(NotRealized):
+        build_graph(expr, w)
+    # the length limit is checked first
+    with pytest.raises(TooLarge):
+        subexpr_classes(Expression(a2, (0, 1) * 13), 0)
 
 
 def test_empty_expression(a2):
