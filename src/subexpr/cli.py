@@ -120,9 +120,9 @@ def _stats(g) -> dict:
 
 def cmd_graph(args) -> int:
     spec = load_spec(args.spec, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _, graphs = _graphs_of(spec)
+    out = Path(args.out)                # made only once the build succeeded
+    out.mkdir(parents=True, exist_ok=True)
     stats = []
     for idx, g in enumerate(graphs):
         name = f"graph_{idx:03d}.dot"
@@ -137,9 +137,9 @@ def cmd_graph(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _, graphs = _graphs_of(spec)
+    out = Path(args.out)                # made only once the build succeeded
+    out.mkdir(parents=True, exist_ok=True)
     report = {"command": f"verify {args.what}", "classes": []}
     ok = True
     for idx, g in enumerate(graphs):

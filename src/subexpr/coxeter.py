@@ -78,6 +78,9 @@ class CoxeterSystem:
         self._roots = []               # positive representatives
         self._root_ids = {}            # key -> index
         self._arrow = {}               # (eid, gen) -> signed root id of  w(-e_gen)
+        # (|lam id|, |mu id|) -> dihedral.DihedralContext, filled on demand
+        # by cyclespace when it resolves crossing special pairs
+        self.dihedral_contexts = {}
 
     # -- basic linear algebra -------------------------------------------------
 

@@ -236,9 +236,13 @@ def _resolve_crossing(g: SubexprGraph, v: int, pair1, pair2):
     sys_ = g.expr.system
     i, k = pair1
     j, l = pair2
-    mu = sys_.root_vec(abs(gamma.roots[i]))
-    lam = sys_.root_vec(abs(gamma.roots[j]))
-    ctx = dihedral.make_dihedral(sys_, lam, mu)
+    # one context per system and ordered root pair (lam, mu)
+    key = (abs(gamma.roots[j]), abs(gamma.roots[i]))
+    ctx = sys_.dihedral_contexts.get(key)
+    if ctx is None:
+        ctx = dihedral.make_dihedral(sys_, sys_.root_vec(key[0]),
+                                     sys_.root_vec(key[1]))
+        sys_.dihedral_contexts[key] = ctx
     if ctx.order_n == math.inf:
         raise DecompositionError("crossing special pairs in an infinite dihedral")
     pi, p, morph = dihedral.project_subexpression(gamma, ctx)
@@ -265,6 +269,8 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
     """
     residue = 0
     deg = [0] * g.n_vertices               # degree of each vertex in residue
+    top = g.n_vertices                     # the vertex being cleared
+    positions: Dict[int, Tuple[int, int]] = {}     # edge id -> fold (p, q)
     out: List[GeneratorCycle] = []
 
     def toggle(bits: int):
@@ -273,52 +279,56 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
         while b:
             low = b & -b
             eid = low.bit_length() - 1
-            a, c, _ = g.edges[eid]
+            a, c, _ = g.edges[eid]         # a < c
+            if c > top:
+                raise DecompositionError("maximal incident vertex did not decrease")
             d = 1 if not (residue >> eid & 1) else -1
             deg[a] += d
             deg[c] += d
             b ^= low
         residue ^= bits
 
+    def residue_edges_at(v: int):
+        found = []
+        for eid in g.incident[v]:
+            if residue >> eid & 1:
+                pq = positions.get(eid)
+                if pq is None:
+                    pq = positions[eid] = _edge_positions(g, eid)
+                found.append((pq, eid))
+        found.sort()
+        return found
+
     toggle(even)
     if any(d % 2 for d in deg):
         raise NotEven("input edge set has a vertex of odd degree")
-    last_top: Optional[int] = None
     while residue:
-        v = max(t for t, d in enumerate(deg) if d)
-        if last_top is not None and v >= last_top:
-            raise DecompositionError("maximal incident vertex did not decrease")
-        last_top = v
+        # toggle keeps every residue edge at or below the last top, and
+        # the last top was cleared, so the next one lies strictly below
+        top -= 1
+        while not deg[top]:
+            top -= 1
+        v = top
         gamma = g.vertices[v]
+        while True:
+            at_v = residue_edges_at(v)
+            pq = next((pq for pq, _ in at_v if not is_special_pair(gamma, *pq)),
+                      None)
+            if pq is None:
+                break
+            _, used = move_edge(g, v, pq)
+            for c in used:
+                out.append(c)
+                toggle(c.edges)
 
-        def residue_edges_at_v():
-            found = []
-            for eid in g.incident[v]:
-                if residue >> eid & 1:
-                    found.append((_edge_positions(g, eid), eid))
-            found.sort()
-            return found
-
-        moved = True
-        while moved:
-            moved = False
-            for pq, eid in residue_edges_at_v():
-                if not is_special_pair(gamma, *pq):
-                    _, used = move_edge(g, v, pq)
-                    for c in used:
-                        out.append(c)
-                        toggle(c.edges)
-                    moved = True
-                    break
-
-        specials = residue_edges_at_v()
-        if len(specials) % 2:
+        # the last scan found nothing to move: at_v lists the special edges
+        if len(at_v) % 2:
             raise DecompositionError("odd number of special edges at the top")
-        for (pq1, _), (pq2, _) in zip(specials[0::2], specials[1::2]):
+        for (pq1, _), (pq2, _) in zip(at_v[0::2], at_v[1::2]):
             for c in _resolve_special_pairs(g, v, pq1, pq2):
                 out.append(c)
                 toggle(c.edges)
-        if any(residue >> eid & 1 for eid in g.incident[v]):
+        if deg[v]:
             raise DecompositionError("top vertex still has residue edges")
     return out
 
@@ -340,9 +350,11 @@ def scan_generators(g: SubexprGraph) -> List[GeneratorCycle]:
                 if abs(r[i]) != abs(r[j]):
                     continue
                 for k in range(j + 1, m):
-                    if abs(r[k]) != abs(r[j]):
+                    # every kind needs r[k] > 0, and Tr1/Tr3 also r[j] > 0
+                    if abs(r[k]) != abs(r[j]) or r[k] < 0:
                         continue
-                    for kind in ("Tr1", "Tr2", "Tr3"):
+                    for kind in (("Tr1", "Tr2", "Tr3") if r[j] > 0
+                                 else ("Tr2",)):
                         try:
                             keep(make_triangle(g, gamma, kind, i, j, k))
                         except ConditionViolated:

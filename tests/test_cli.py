@@ -86,6 +86,28 @@ def test_verify_decompose_writes_replayable_certificates(tmp_path):
             assert all(set(v) <= {"0", "1"} for v in cyc["vertices"])
 
 
+def test_verify_decompose_is_deterministic(tmp_path):
+    # Two runs in one process: the second meets the process-wide caches
+    # warm, and each run reuses its system's dihedral contexts after the
+    # first crossing of each root pair. The certificates must not differ.
+    spec = write_spec(tmp_path,
+                      coxeter_matrix=[[1, 4], [4, 1]],
+                      generators=["s", "t"],
+                      expression=["s", "t", "s", "t", "s", "t"],
+                      target="all")
+    out1, out2 = tmp_path / "d1", tmp_path / "d2"
+    for out in (out1, out2):
+        assert main(["verify", "decompose", "--spec", spec,
+                     "--out", str(out)]) == EXIT_OK
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    kinds = {cyc["kind"] for p in out1.glob("certificate_*.json")
+             for entry in json.loads(p.read_text()) for cyc in entry["cycles"]}
+    assert {"Cyc1", "Cyc2"} <= kinds           # crossings were resolved
+
+
 def test_table1_quick(capsys, tmp_path):
     out = tmp_path / "t"
     code = main(["sweep", "table1", "A1", "--max-len", "4", "--out", str(out)])
@@ -187,3 +209,4 @@ def test_unrealized_target_exits_usage(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "o").exists()       # --out is made after the build

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from subexpr import dihedral
 from subexpr.coxeter import named_system
 from subexpr.cyclespace import (ConditionViolated, DecompositionError,
                                 Gf2Basis, NotEven, certificate,
@@ -157,6 +159,27 @@ def test_make_triangle_rejects_bad_conditions(b2_graphs):
         make_triangle(g, gamma, "Tr1", j, i, k)    # unsorted indices
 
 
+def test_scan_triangles_match_every_kind_tried(b2_graphs, g2_graphs):
+    # The scan reads the triangle kind from the root signs; trying every
+    # kind on every equal-|root| triple must give the same triangles.
+    for g in b2_graphs + g2_graphs:
+        want = {}
+        for gamma in g.vertices:
+            r = gamma.roots
+            for i, j, k in itertools.combinations(range(len(r)), 3):
+                if not abs(r[i]) == abs(r[j]) == abs(r[k]):
+                    continue
+                for kind in ("Tr1", "Tr2", "Tr3"):
+                    try:
+                        c = make_triangle(g, gamma, kind, i, j, k)
+                    except ConditionViolated:
+                        continue
+                    want.setdefault(c.edges, c)
+        got = [c for c in scan_generators(g) if c.length == 3]
+        assert sorted(got, key=lambda c: c.edges) == \
+            sorted(want.values(), key=lambda c: c.edges)
+
+
 def test_move_edge_exhaustive_small(b2):
     expr = Expression(b2, (0, 1, 0, 1, 0, 1))
     for g in build_all_graphs(expr):
@@ -244,3 +267,47 @@ def test_certificate_round_trip(b2_graphs):
             # reversing a cycle keeps its edge set; drop a vertex instead
             bad[0]["vertices"] = bad[0]["vertices"][:-1]
             assert not check_certificate(g, bad, fc)
+
+
+def _alternating_fundamental_cycles(system, length=9):
+    """(graph, cycle) for every fundamental cycle of every class of the two
+    alternating words of the given length."""
+    out = []
+    for first in (0, 1):
+        expr = Expression(system, tuple((first + z) % 2 for z in range(length)))
+        for g in build_all_graphs(expr):
+            out.extend((g, fc) for fc in fundamental_cycles(g))
+    return out
+
+
+@pytest.mark.parametrize("type_name", ["B2", "G2"])
+def test_dihedral_context_cache(type_name, monkeypatch):
+    # The per-system table must hand out the context make_dihedral would
+    # build, build each one once, and leave the decompositions unchanged.
+    system = named_system(type_name)       # a fresh system: an empty table
+    items = _alternating_fundamental_cycles(system)
+    make = dihedral.make_dihedral
+    keys = []
+
+    def counted(sys_, lam, mu):
+        keys.append((abs(sys_.root_id(lam)), abs(sys_.root_id(mu))))
+        return make(sys_, lam, mu)
+
+    monkeypatch.setattr(dihedral, "make_dihedral", counted)
+    warm = [decompose(g, fc) for g, fc in items]
+    table = system.dihedral_contexts
+    assert table, "no crossing special pairs were resolved"
+    assert collections.Counter(keys) == collections.Counter(set(table))
+    for (lam, mu), ctx in table.items():
+        fresh = make(system, system.root_vec(lam), system.root_vec(mu))
+        assert ctx.order_n == fresh.order_n
+        assert ctx.closure_rids == fresh.closure_rids
+        assert ctx.xi == fresh.xi
+        assert np.array_equal(ctx.pair.alpha, fresh.pair.alpha)
+        assert np.array_equal(ctx.pair.beta, fresh.pair.beta)
+    cold = []
+    for g, fc in items:
+        table.clear()                      # every decomposition starts cold
+        cold.append(decompose(g, fc))
+    assert cold == warm
+    assert any(c.kind.startswith("Cyc") for cycles in warm for c in cycles)
