@@ -174,6 +174,15 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Sweep one type; table1 compares minimum-basis lengths with its row."""
+    if args.max_len is not None and args.max_len < 0:
+        raise SpecError("--max-len must be >= 0")
+    if args.samples is not None:
+        if args.samples < 1:
+            raise SpecError("--samples must be >= 1")
+        if args.max_len is not None and args.max_len < 1:
+            raise SpecError("--samples needs --max-len >= 1")
+    if args.jobs < 1:
+        raise SpecError("--jobs must be >= 1")
     matrix = _matrix_for(args.type, args.rank)     # rejects unknown types
     if args.mode == "table1":
         if args.samples is not None:

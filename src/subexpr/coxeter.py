@@ -232,10 +232,16 @@ def reflection_order(x: Element, y: Element, max_order: int = 64):
 
 # -- named systems ------------------------------------------------------------
 
+# smallest rank of each family; below it the formulas give another type
+_MIN_RANK = {"A": 1, "B": 2, "D": 3}
+
+
 def coxeter_matrix_for(type_name: str, rank: Optional[int] = None):
     """Coxeter matrix of a named (possibly affine) system.
 
-    Supported: A1, An, B2, Bn, Dn, F4, G2 and the affine triangle "A2~".
+    Supported: A1, An, B2, Bn, Dn, F4, G2 and the affine triangle "A2~";
+    the rank of An, Bn and Dn (given as ``rank`` or in the name, as in
+    "B3") must be at least 1, 2 and 3.
     """
     t = type_name
     if t == "A2~":
@@ -250,21 +256,26 @@ def coxeter_matrix_for(type_name: str, rank: Optional[int] = None):
         return _chain([3, 4, 3])
     if t in ("An", "Bn", "Dn") and rank is None:
         raise ValueError(f"type {t} needs a rank")
-    if t.startswith("A"):
-        n = rank if t == "An" else int(t[1:])
+    family = t[:1]
+    if family not in _MIN_RANK:
+        raise ValueError(f"unsupported type {type_name}")
+    try:
+        n = rank if t[1:] == "n" else int(t[1:])
+    except ValueError:
+        raise ValueError(f"unsupported type {type_name}") from None
+    if not isinstance(n, int) or n < _MIN_RANK[family]:
+        raise ValueError(f"type {family}n needs an integer rank >= "
+                         f"{_MIN_RANK[family]}, got {n!r}")
+    if family == "A":
         return _chain([3] * (n - 1))
-    if t.startswith("B"):
-        n = rank if t == "Bn" else int(t[1:])
+    if family == "B":
         return _chain([4] + [3] * (n - 2))
-    if t.startswith("D"):
-        n = rank if t == "Dn" else int(t[1:])
-        m = _chain([3] * (n - 2))          # chain on generators 0..n-2
-        for row in m:
-            row.append(2)
-        m.append([2] * (n - 1) + [1])
-        m[n - 3][n - 1] = m[n - 1][n - 3] = 3   # fork at the third-to-last node
-        return m
-    raise ValueError(f"unsupported type {type_name}")
+    m = _chain([3] * (n - 2))              # Dn: chain on generators 0..n-2
+    for row in m:
+        row.append(2)
+    m.append([2] * (n - 1) + [1])
+    m[n - 3][n - 1] = m[n - 1][n - 3] = 3       # fork at the third-to-last node
+    return m
 
 
 def _chain(orders):

@@ -37,11 +37,12 @@ class Gf2Basis:
         self.pivots: Dict[int, int] = {}          # pivot bit -> reduced vector
 
     def reduce(self, v: int) -> int:
+        pivots = self.pivots
         while v:
-            b = v.bit_length() - 1
-            if b not in self.pivots:
+            p = pivots.get(v.bit_length() - 1)
+            if p is None:
                 break
-            v ^= self.pivots[b]
+            v ^= p
         return v
 
     def add(self, v: int) -> bool:
@@ -406,31 +407,49 @@ def fundamental_cycles(g: SubexprGraph) -> List[int]:
     return out
 
 
-def enumerate_generators(g: SubexprGraph) -> List[GeneratorCycle]:
+def enumerate_generators(g: SubexprGraph,
+                         basis: Optional[Gf2Basis] = None) -> List[GeneratorCycle]:
     """A generating family of the cycle space: the Tr/Sq scan, completed by
-    constructively decomposing every fundamental cycle not already in the
+    constructively decomposing the fundamental cycles not already in the
     scan's span (which supplies the dihedral Cyc images exactly where they
-    are needed)."""
+    are needed).
+
+    One elimination serves the whole enumeration: every generator's edge
+    set goes into ``basis`` (a fresh one when none is given; pass an
+    empty one to read the generators' rank afterwards), and the completion
+    stops once the rank reaches the cycle-space dimension, the number of
+    fundamental cycles, since every cycle left is then in the span.
+    """
     found: Dict[int, GeneratorCycle] = {}
-    basis = Gf2Basis()
+    if basis is None:
+        basis = Gf2Basis()
     for c in scan_generators(g):
         found.setdefault(c.edges, c)
         basis.add(c.edges)
-    for fc in fundamental_cycles(g):
+    fcs = fundamental_cycles(g)
+    dim = len(fcs)
+    for fc in fcs:
+        if basis.rank == dim:
+            break
         if basis.contains(fc):
             continue
         for c in decompose(g, fc):
             found.setdefault(c.edges, c)
             basis.add(c.edges)
+    del fcs                                # free the masks before the sort's peak
     return sorted(found.values(),
                   key=lambda c: (c.length, c.kind, c.anchor_mask, c.indices))
 
 
 def verify_span(g: SubexprGraph) -> dict:
-    """Check that the enumerated generators span the cycle space."""
-    gens = enumerate_generators(g)
+    """Check that the enumerated generators span the cycle space.
+
+    The rank is that of the basis the enumeration built, so each
+    generator is eliminated once."""
+    basis = Gf2Basis()
+    gens = enumerate_generators(g, basis)
     dim = cycle_space_dim(g)
-    rank = gf2_rank(c.edges for c in gens)
+    rank = basis.rank
     lengths = sorted({c.length for c in gens})
     return {"n_vertices": g.n_vertices, "n_edges": g.n_edges,
             "components": g.n_components(), "dim": dim,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from subexpr import coxeter
+from subexpr import coxeter, sweeps
 from subexpr.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -187,7 +187,10 @@ def test_max_len_guard_and_eps_override(tmp_path):
     {"coxeter_matrix": [[1, 3], [4, 1]], "expression": ["s1"]},
     {"type": "Z9", "expression": []},
     {"type": "A2", "expression": ["s1", "s2"] * 13},
-], ids=["non-symmetric", "unknown-type", "too-long"])
+    {"type": "A0", "expression": []},
+    {"type": "B1", "expression": []},
+    {"type": "Dn", "rank": 2, "expression": []},
+], ids=["non-symmetric", "unknown-type", "too-long", "A0", "B1", "Dn-rank2"])
 def test_bad_input_exits_usage(tmp_path, capsys, data):
     spec = write_spec(tmp_path, **data)
     assert main(["verify", "span", "--spec", spec,
@@ -210,3 +213,29 @@ def test_unrealized_target_exits_usage(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o" / "report.json").exists()
     assert not (tmp_path / "o").exists()       # --out is made after the build
+
+
+@pytest.mark.parametrize("argv", [
+    ["span", "B2", "--samples", "5", "--max-len", "0"],
+    ["span", "B2", "--max-len", "-1"],
+    ["span", "B2", "--samples", "-3"],
+    ["connectivity", "B2", "--samples", "0"],
+    ["table1", "B2", "--max-len", "-1"],
+    ["span", "B2", "--jobs", "0"],
+    ["table1", "A1", "--jobs", "-2"],
+    ["connectivity", "Bn", "--rank", "1"],
+    ["span", "Dn", "--rank", "2"],
+], ids=["samples-max-len-0", "max-len-neg", "samples-neg", "samples-0",
+        "table1-max-len-neg", "jobs-0", "table1-jobs-neg", "Bn-rank1",
+        "Dn-rank2"])
+def test_bad_sweep_numbers_exit_usage(monkeypatch, capsys, argv):
+    # rejected before any word is checked, so no worker process starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(sweeps, "run_sweep", refuse)
+    monkeypatch.setattr(sweeps, "table1_report", refuse)
+    assert main(["sweep"] + argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

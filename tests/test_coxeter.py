@@ -39,6 +39,18 @@ def test_malformed_matrices(matrix):
         new_system(matrix)
 
 
+@pytest.mark.parametrize("family, low", [("A", 1), ("B", 2), ("D", 3)])
+def test_family_minimum_rank(family, low):
+    # below its smallest rank a family's formula would give another type
+    assert len(coxeter.coxeter_matrix_for(f"{family}{low}")) == low
+    assert len(coxeter.coxeter_matrix_for(f"{family}n", low)) == low
+    for n in range(-1, low):
+        with pytest.raises(ValueError, match="rank"):
+            coxeter.coxeter_matrix_for(f"{family}{n}")
+        with pytest.raises(ValueError, match="rank"):
+            coxeter.coxeter_matrix_for(f"{family}n", n)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "F4", "A2~"])
 def test_generator_matrices_involutive_and_isometric(name):
     s = named_system(name)

@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from conftest import words_up_to
 
-from subexpr import dihedral
+from subexpr import cyclespace, dihedral
 from subexpr.coxeter import named_system
 from subexpr.cyclespace import (ConditionViolated, DecompositionError,
                                 Gf2Basis, NotEven, certificate,
@@ -252,6 +253,138 @@ def test_min_length_basis_is_a_basis(g2_graphs):
     assert gf2_rank(c.edges for c in basis) == len(basis)
     lengths = [c.length for c in basis]
     assert lengths == sorted(lengths)
+
+
+def _full_loop_generators(g, scan):
+    """Reference enumeration without the stop at full rank: the basis of
+    the scan's cycles, then a containment test for every fundamental
+    cycle."""
+    found = {}
+    basis = Gf2Basis()
+    for c in scan:
+        found.setdefault(c.edges, c)
+        basis.add(c.edges)
+    for fc in fundamental_cycles(g):
+        if basis.contains(fc):
+            continue
+        for c in decompose(g, fc):
+            found.setdefault(c.edges, c)
+            basis.add(c.edges)
+    return sorted(found.values(),
+                  key=lambda c: (c.length, c.kind, c.anchor_mask, c.indices))
+
+
+def _full_loop_report(g, gens):
+    """Reference span report of the full loop's generators: a second
+    elimination from scratch."""
+    dim = cycle_space_dim(g)
+    rank = gf2_rank(c.edges for c in gens)
+    return {"n_vertices": g.n_vertices, "n_edges": g.n_edges,
+            "components": g.n_components(), "dim": dim,
+            "n_generators": len(gens), "rank": rank,
+            "lengths": sorted({c.length for c in gens}), "ok": rank == dim}
+
+
+# one of the benchmark's 14-letter A2~ identity classes (dim 6,657)
+_BIG_SPAN_WORD = (0, 0, 0, 2, 1, 1, 2, 1, 0, 2, 0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("type_name, max_len", [
+    ("B2", 7), ("G2", 6), ("A2~", 7), ("A2~", None)],
+    ids=["B2<=7", "G2<=6", "A2~<=7", "A2~-big-span"])
+def test_enumeration_matches_full_loop(type_name, max_len, monkeypatch):
+    # Stopping at full rank and reusing the enumeration's basis must give
+    # the full loop's generators, in its order, and its span report.
+    system = named_system(type_name)
+    if max_len is None:
+        graphs = [build_graph(Expression(system, _BIG_SPAN_WORD),
+                              system.identity())]
+    else:
+        graphs = [g for w in words_up_to(system.rank, max_len)
+                  for g in build_all_graphs(Expression(system, w))]
+    scans, listed = [], []             # what verify_span's enumeration made
+
+    def scan_recorded(graph):
+        scans.append(scan_generators(graph))
+        return scans[-1]
+
+    def recorded(graph, basis=None):
+        listed.append(enumerate_generators(graph, basis))
+        return listed[-1]
+
+    monkeypatch.setattr(cyclespace, "scan_generators", scan_recorded)
+    monkeypatch.setattr(cyclespace, "enumerate_generators", recorded)
+    for g in graphs:
+        got = verify_span(g)
+        # the scan is not under test: the reference reuses its result
+        want = _full_loop_generators(g, scans.pop())
+        assert got == _full_loop_report(g, want)
+        assert [c.to_json() for c in listed.pop()] == [c.to_json() for c in want]
+
+
+def _count_completion(g, monkeypatch):
+    """Run enumerate_generators with decompose and Gf2Basis.contains
+    counted; returns (contains calls, the cycles decompose was given)."""
+    contains_calls = []
+    decomposed = []
+    contains, decomp = Gf2Basis.contains, cyclespace.decompose
+
+    def counted_contains(self, v):
+        contains_calls.append(v)
+        return contains(self, v)
+
+    def counted_decompose(graph, even):
+        decomposed.append(even)
+        return decomp(graph, even)
+
+    with monkeypatch.context() as m:
+        m.setattr(Gf2Basis, "contains", counted_contains)
+        m.setattr(cyclespace, "decompose", counted_decompose)
+        enumerate_generators(g)
+    return contains_calls, decomposed
+
+
+def _scan_rank(g):
+    return gf2_rank(c.edges for c in scan_generators(g))
+
+
+def test_spanning_scan_runs_no_completion(g2_graphs, monkeypatch):
+    # The scan alone spans the largest class of the 8-letter G2 word
+    # (dim 82): no fundamental cycle is tested or decomposed.
+    g = max(g2_graphs, key=cycle_space_dim)
+    assert cycle_space_dim(g) == 82 and _scan_rank(g) == 82
+    assert _count_completion(g, monkeypatch) == ([], [])
+
+
+def test_completion_stops_at_full_rank(b2, monkeypatch):
+    # On classes that need Cyc cycles, the completion tests fundamental
+    # cycles up to the one whose decomposition brings the rank to dim,
+    # and no further.
+    graphs = build_all_graphs(Expression(b2, (0, 1, 0, 1, 0, 1, 0)))
+    skipped = 0
+    for g in graphs:
+        fcs = fundamental_cycles(g)
+        if _scan_rank(g) == len(fcs):
+            continue
+        # replay the full loop to find where the rank reaches dim
+        basis = Gf2Basis()
+        for c in scan_generators(g):
+            basis.add(c.edges)
+        needed = []
+        for k, fc in enumerate(fcs):
+            if basis.reduce(fc):
+                needed.append(fc)
+                for c in decompose(g, fc):
+                    basis.add(c.edges)
+            if basis.rank == len(fcs):
+                break
+        assert basis.rank == len(fcs)
+        contains_calls, decomposed = _count_completion(g, monkeypatch)
+        assert contains_calls == fcs[:k + 1]
+        assert decomposed == needed and decomposed[-1] == fcs[k]
+        assert any(c.kind.startswith("Cyc") for c in enumerate_generators(g))
+        skipped += len(fcs) - (k + 1)
+    assert skipped > 0, "no class stopped before its last fundamental cycle"
 
 
 def test_certificate_round_trip(b2_graphs):
