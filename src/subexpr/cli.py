@@ -210,6 +210,13 @@ def cmd_sweep(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{args.mode}.json").write_text(text + "\n", encoding="utf-8")
     print(text)
+    if args.mode == "table1" and set(rep["observed"]) < set(rep["expected"]):
+        # too short a sweep to meet the whole row is not a failure
+        unseen = sorted(set(rep["expected"]) - set(rep["observed"]))
+        print(f"error: the sweep met no cycle of length "
+              f"{', '.join(map(str, unseen))}; raise --max-len",
+              file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if rep["ok"] else EXIT_FAIL
 
 

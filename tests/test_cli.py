@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,20 @@ def test_graph_single_target(tmp_path):
     # bit-string vertex labels of the subexpressions multiplying to e
     assert 'label="0000"' in dot
     assert 'label="1111"' not in dot           # stst != e in A2
+
+
+@pytest.mark.parametrize("name", ["graph_b2", "graph_a2t_identity"])
+def test_graph_matches_golden_output(tmp_path, name):
+    # the README's B2 spec (target "all") and (s1 s2 s3)^4 in A2~ with
+    # target []: DOT files and stats.json byte for byte
+    golden = Path(__file__).parent / "data" / name
+    out = tmp_path / "out"
+    assert main(["graph", "--spec", str(golden / "spec.json"),
+                 "--out", str(out)]) == EXIT_OK
+    want = sorted(p.name for p in golden.iterdir() if p.name != "spec.json")
+    assert sorted(p.name for p in out.iterdir()) == want
+    for fname in want:
+        assert (out / fname).read_bytes() == (golden / fname).read_bytes(), fname
 
 
 def test_verify_connectivity(a2_spec, tmp_path):
@@ -116,6 +131,32 @@ def test_table1_quick(capsys, tmp_path):
     rep = json.loads(text)
     assert rep["observed"] == [3] and rep["ok"]
     assert (out / "table1.json").read_text() == text
+
+
+@pytest.mark.parametrize("argv, unseen", [
+    (["B2", "--max-len", "0"], "3, 4, 6"),
+    (["B2", "--max-len", "4"], "6"),
+], ids=["B2-0", "B2-4"])
+def test_table1_short_sweep_exits_usage(capsys, argv, unseen):
+    # a sweep too short to meet the whole row is not a failure: the report
+    # is printed, and one error line names the lengths it did not meet
+    assert main(["sweep", "table1"] + argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["expected"] == [3, 4, 6]
+    assert set(rep["observed"]) < set(rep["expected"])
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"no cycle of length {unseen};" in captured.err
+
+
+def test_table1_length_outside_row_fails(monkeypatch, capsys):
+    def report(type_name, rank, max_len, jobs):
+        return {"type": type_name, "rank": rank, "max_len": max_len,
+                "observed": [3, 7], "expected": [3], "ok": False}
+
+    monkeypatch.setattr(sweeps, "table1_report", report)
+    assert main(["sweep", "table1", "A1", "--max-len", "4"]) == EXIT_FAIL
+    assert json.loads(capsys.readouterr().out)["observed"] == [3, 7]
 
 
 def test_table1_unknown_type(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from subexpr.coxeter import elements_equal, named_system, new_system
 from subexpr.expressions import (DifferentTargets, Expression, IndexOutOfRange,
                                  NotApplicable, NotRealized, Subexpression,
-                                 TooLarge, build_all_graphs, build_graph,
+                                 SubexprGraph, TooLarge, build_all_graphs,
+                                 build_graph,
                                  descend_step, double_fold,
                                  double_fold_applicable, gallery_of,
                                  is_connected, is_special_pair, order_compare,
@@ -204,6 +206,150 @@ def test_fold_edges_are_the_hamming_two_pairs():
             assert set(g.edges) == pairs
             ends = [e[:2] for e in g.edges]
             assert ends == sorted(set(ends))
+
+
+# -- the assembly the current one replaced, kept as a reference ---------------
+
+def _reference_assembly(expr, records):
+    """Vertices, edges, vertex index, edge index and incidence as the
+    eager assembly built them: bits re-derived per vertex, a tuple sort
+    key, and every index built when the graph is made."""
+    verts = [Subexpression(expr, [(mask >> i) & 1 for i in range(len(expr))],
+                           pids, rids)
+             for mask, pids, rids in records]
+    verts.sort(key=lambda v: tuple(r > 0 for r in reversed(v.roots)))
+    vidx = {v.mask: i for i, v in enumerate(verts)}
+    edges = []
+    for i, v in enumerate(verts):
+        groups = {}
+        row = []
+        for q, rid in enumerate(v.roots):
+            poss = groups.setdefault(abs(rid), [])
+            if rid < 0:
+                for p in poss:
+                    row.append((vidx[v.mask ^ (1 << p) ^ (1 << q)], -rid))
+            poss.append(q)
+        row.sort()
+        edges.extend((i, j, color) for j, color in row)
+    edge_index = {(a, b): k for k, (a, b, _) in enumerate(edges)}
+    incident = [[] for _ in verts]
+    for k, (a, b, _) in enumerate(edges):
+        incident[a].append(k)
+        incident[b].append(k)
+    return verts, edges, vidx, edge_index, incident
+
+
+def _reference_components(n, edges):
+    """Component labels by BFS through the incidence lists."""
+    incident = [[] for _ in range(n)]
+    for k, (a, b, _) in enumerate(edges):
+        incident[a].append(k)
+        incident[b].append(k)
+    lab = [-1] * n
+    c = 0
+    for s in range(n):
+        if lab[s] >= 0:
+            continue
+        lab[s] = c
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for k in incident[v]:
+                a, b, _ = edges[k]
+                u = b if a == v else a
+                if lab[u] < 0:
+                    lab[u] = c
+                    stack.append(u)
+        c += 1
+    return lab
+
+
+def _reference_dot(expr, verts, edges):
+    sys_ = expr.system
+    lines = ["graph sub {"]
+    for i, v in enumerate(verts):
+        label = "".join(map(str, v.bits))
+        lines.append(f'  v{i} [label="{label}"];')
+    for a, b, rid in edges:
+        vec = sys_.root_vec(abs(rid))
+        label = ",".join(f"{round(float(c), 6):g}" for c in vec)
+        lines.append(f'  v{a} -- v{b} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _assembly_words():
+    a2t = named_system("A2~")
+    return itertools.chain(_small_expressions(),
+                           [Expression(a2t, (1, 2, 1, 0, 1, 0, 1, 2, 1, 2, 0, 2))])
+
+
+def test_assembly_matches_reference():
+    # every class of the pruned-walk words and of one 12-letter A2~ word:
+    # the same vertices in the same order, edges, indices, labels and DOT
+    n_classes = 0
+    for expr in _assembly_words():
+        classes = subexpr_classes(expr)
+        graphs = build_all_graphs(expr)
+        assert [g.target_eid for g in graphs] == sorted(classes)
+        for g in graphs:
+            verts, edges, vidx, edge_index, incident = _reference_assembly(
+                expr, classes[g.target_eid])
+            assert [v.mask for v in g.vertices] == [v.mask for v in verts]
+            assert g.vertices == verts
+            assert g.edges == edges
+            assert g.vertex_index == vidx
+            assert g.edge_index == edge_index
+            assert g.incident == incident
+            assert g.components() == _reference_components(len(verts), edges)
+            assert g.to_dot() == _reference_dot(expr, verts, edges)
+            n_classes += 1
+    assert n_classes == 18355 + 72
+
+
+def test_components_match_bfs_with_edges_dropped(b2):
+    # disconnected graphs, isolated vertices included: union-find labels
+    # equal the BFS labels, numbered by first vertex
+    rng = random.Random(8)
+    a2t = named_system("A2~")
+    graphs = (build_all_graphs(Expression(a2t, (0, 1, 2, 0, 2, 1) * 2))
+              + build_all_graphs(Expression(b2, (0, 1) * 4)))
+    n_isolated = n_split = 0
+    for g in graphs:
+        for keep in (0.0, 0.05, 0.3, 0.7, 0.95):
+            edges = [e for e in g.edges if rng.random() < keep]
+            h = SubexprGraph(g.expr, g.target_eid, g.vertices, edges,
+                             g.vertex_index)
+            want = _reference_components(h.n_vertices, edges)
+            assert h.components() == want
+            n_split += max(want) > 0
+            ends = {x for a, b, _ in edges for x in (a, b)}
+            n_isolated += len(ends) < h.n_vertices
+    assert n_split > 100 and n_isolated > 100
+
+
+def test_vertices_from_records_match_vertices_from_bits(b2):
+    a2t = named_system("A2~")
+    for expr in (Expression(a2t, (0, 1, 2, 0, 2, 1, 0, 1)),
+                 Expression(b2, (0, 1) * 4)):
+        m = len(expr)
+        for g in build_all_graphs(expr):
+            for v in g.vertices:
+                u = Subexpression(expr, v.bits)
+                w = subexpr_from_mask(expr, v.mask)
+                assert v.bits == tuple((v.mask >> i) & 1 for i in range(m))
+                for x in (u, w):
+                    assert x.bits == v.bits and x.mask == v.mask
+                    assert (x.prefix_ids, x.roots) == (v.prefix_ids, v.roots)
+                    assert x == v and v == x and hash(x) == hash(v)
+                    assert repr(x) == repr(v)
+            # the last bit changes no root: equality must read the mask
+            v = g.vertices[0]
+            flipped = Subexpression(expr, v.bits[:-1] + (1 - v.bits[-1],))
+            assert flipped.roots == v.roots and flipped != v
+            if g.n_vertices > 1:
+                u, v = g.vertices[:2]
+                assert u != v and Subexpression(expr, u.bits) != v
 
 
 def test_unrealized_target(a2):
