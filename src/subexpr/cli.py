@@ -187,10 +187,6 @@ def cmd_sweep(args) -> int:
     if args.mode == "table1":
         if args.samples is not None:
             raise SpecError("sweep table1 takes no --samples")
-        try:
-            sweeps.table1_row(args.type)
-        except ValueError as exc:
-            raise SpecError(str(exc))
         rep = sweeps.table1_report(args.type, args.rank, args.max_len,
                                    jobs=args.jobs)
     else:
@@ -248,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank of An, Bn or Dn")
     p.add_argument("--max-len", type=int, default=None,
                    help="longest word (default: 10 connectivity, 8 span, "
-                        "the type's table cap for table1)")
+                        "max(10, 2n) for table1, n the largest order in "
+                        "the row)")
     p.add_argument("--samples", type=int, default=None,
                    help="check this many random words instead of all words")
     p.add_argument("--seed", type=int, default=2024,

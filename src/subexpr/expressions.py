@@ -201,28 +201,16 @@ def descend_step(gamma: Subexpression):
 
 
 def special_pairs(gamma: Subexpression) -> List[Tuple[int, int, int]]:
-    """All special pairs (i, j, color root id).
-
-    (i,j) is special iff gamma^{->j} = -gamma^{->i} > 0, no k < i has
-    gamma^{->k} = gamma^{->j}, and no i < k < j has gamma^{->k} = gamma^{->i}.
-    """
-    rids = gamma.roots
-    out = []
-    for j, rj in enumerate(rids):
-        if rj <= 0:
-            continue
-        for i in range(j):
-            if rids[i] != -rj:
-                continue
-            if any(rids[k] == rj for k in range(i)):
-                continue
-            if any(rids[k] == -rj for k in range(i + 1, j)):
-                continue
-            out.append((i, j, rj))
-    return out
+    """All special pairs (i, j, color root id), by j and then i."""
+    r = gamma.roots
+    return [(i, j, r[j]) for j in range(len(r)) for i in range(j)
+            if is_special_pair(gamma, i, j)]
 
 
 def is_special_pair(gamma: Subexpression, i: int, j: int) -> bool:
+    """(i,j) is special iff gamma^{->j} = -gamma^{->i} > 0, no k < i has
+    gamma^{->k} = gamma^{->j}, and no i < k < j has gamma^{->k} = gamma^{->i}.
+    """
     rids = gamma.roots
     rj = rids[j]
     return (rj > 0 and rids[i] == -rj

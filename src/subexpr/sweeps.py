@@ -14,40 +14,31 @@ import itertools
 import math
 import random
 from multiprocessing import get_context
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import cyclespace as cs
 from .coxeter import CoxeterSystem, coxeter_matrix_for
 from .expressions import Expression, build_all_graphs, is_connected
 
-# The known rows: {3,4} plus n+2 for every finite order n of a product of
-# two reflections; rank one needs only triangles.
-TABLE1_ROWS: Dict[str, frozenset] = {
-    "A1": frozenset({3}),
-    "An": frozenset({3, 4, 5}),
-    "B2": frozenset({3, 4, 6}),
-    "Bn": frozenset({3, 4, 5, 6}),
-    "Dn": frozenset({3, 4, 5}),
-    "F4": frozenset({3, 4, 5, 6}),
-    "G2": frozenset({3, 4, 5, 8}),
-}
-
-DEFAULT_CAPS = {"A1": 10, "An": 10, "B2": 10, "Bn": 10, "Dn": 10,
-                "F4": 10, "G2": 12}
 DEFAULT_EXHAUSTIVE = {1: 10, 2: 8, 3: 5, 4: 4}
 
 
-def table1_row(type_name: str) -> frozenset:
-    key = type_name
-    if key.startswith("A") and key not in ("A1", "An"):
-        key = "An"
-    elif key.startswith("B") and key not in ("B2", "Bn"):
-        key = "Bn"
-    elif key.startswith("D"):
-        key = "Dn"
-    if key not in TABLE1_ROWS:
-        raise ValueError(f"no table row for type {type_name}")
-    return TABLE1_ROWS[key]
+def table1_row(matrix) -> frozenset:
+    """The cycle lengths of a system's row: {3, 4} plus n+2 for every finite
+    order n >= 2 of a product of two reflections; rank one needs only
+    triangles.
+
+    The orders are read off the matrix as the divisors d >= 2 of its finite
+    m_ij: I2(m) holds a dihedral reflection subgroup of every order d | m,
+    and each finite dihedral reflection subgroup is conjugate into a finite
+    standard parabolic, where (for every type this package names) no other
+    order occurs.
+    """
+    if len(matrix) == 1:
+        return frozenset({3})
+    orders = {m for row in matrix for m in row if m != math.inf}
+    return frozenset({3, 4} | {d + 2 for m in orders
+                               for d in range(2, m + 1) if m % d == 0})
 
 
 def sweep_words(matrix, max_len: int,
@@ -142,11 +133,12 @@ def table1_report(type_name: str, rank: Optional[int] = None,
                   max_len: Optional[int] = None, jobs: int = 1) -> dict:
     """Observed minimum-basis cycle lengths of a type vs its table row."""
     matrix = coxeter_matrix_for(type_name, rank)
+    expected = sorted(table1_row(matrix))
     if max_len is None:
-        max_len = DEFAULT_CAPS.get(type_name, 10)
+        # a Cyc cycle of length n + 2 lives in a window of up to 2n letters
+        max_len = max(10, 2 * (expected[-1] - 2))
     words = sweep_words(matrix, max_len)
     rep = run_sweep(matrix, words, "table1", jobs=jobs)
-    expected = sorted(table1_row(type_name))
     return {"type": type_name, "rank": rank, "max_len": max_len,
             "observed": rep["lengths"], "expected": expected,
             "ok": rep["lengths"] == expected}

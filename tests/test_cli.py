@@ -149,6 +149,17 @@ def test_table1_short_sweep_exits_usage(capsys, argv, unseen):
     assert f"no cycle of length {unseen};" in captured.err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["Bn", "--rank", "2", "--max-len", "7"], [3, 4, 6]),
+    (["An", "--rank", "1", "--max-len", "4"], [3]),
+], ids=["Bn-rank2", "An-rank1"])
+def test_table1_row_follows_the_matrix(capsys, argv, expected):
+    # Bn of rank 2 is B2 and An of rank 1 is A1: same matrix, same row
+    assert main(["sweep", "table1"] + argv) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["expected"] == rep["observed"] == expected and rep["ok"]
+
+
 def test_table1_length_outside_row_fails(monkeypatch, capsys):
     def report(type_name, rank, max_len, jobs):
         return {"type": type_name, "rank": rank, "max_len": max_len,

@@ -160,6 +160,19 @@ def test_make_triangle_rejects_bad_conditions(b2_graphs):
         make_triangle(g, gamma, "Tr1", j, i, k)    # unsorted indices
 
 
+def test_scan_propagates_condition_violated(b2_graphs, monkeypatch):
+    # every tuple the scan tries meets its kind's root conditions, so a
+    # violation is a fault: it reaches the caller, no generator is dropped
+    def refuse(g, kind, indices, masks):
+        raise ConditionViolated(f"{kind}{tuple(indices)}: refused")
+
+    g = max(b2_graphs, key=cycle_space_dim)
+    assert scan_generators(g)
+    monkeypatch.setattr(cyclespace, "_cycle_from_masks", refuse)
+    with pytest.raises(ConditionViolated, match="refused"):
+        scan_generators(g)
+
+
 def test_scan_triangles_match_every_kind_tried(b2_graphs, g2_graphs):
     # The scan reads the triangle kind from the root signs; trying every
     # kind on every equal-|root| triple must give the same triangles.
