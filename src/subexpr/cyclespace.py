@@ -98,11 +98,10 @@ def _cycle_from_masks(g: SubexprGraph, kind: str, indices, masks) -> GeneratorCy
         raise ConditionViolated(f"{kind}{tuple(indices)}: vertex {exc} missing")
     if len(set(vids)) != len(vids):
         raise ConditionViolated(f"{kind}{tuple(indices)}: repeated vertex")
-    edge_index = g.edge_index
     edges = 0
     for a, b in zip(vids, vids[1:] + vids[:1]):
         try:
-            edges |= 1 << edge_index[(a, b) if a < b else (b, a)]
+            edges |= 1 << g.edge_id(a, b)
         except KeyError:
             raise ConditionViolated(f"{kind}{tuple(indices)}: missing edge")
     if max(vids) != vids[0]:
@@ -441,8 +440,7 @@ def enumerate_generators(g: SubexprGraph,
                 basis.add(c.edges)
     del fcs                                # free the masks before the sort's peak
     if cyc:
-        gens.extend(cyc.values())
-        gens.sort(key=_generator_order)
+        gens = sorted(gens + list(cyc.values()), key=_generator_order)
     return gens
 
 

@@ -67,37 +67,6 @@ def test_special_pairs_example(gamma_full):
     assert not is_special_pair(gamma_full, 0, 1)
 
 
-def _special_pairs_loop(gamma):
-    """Reference: the definition of a special pair spelled out as loops."""
-    rids = gamma.roots
-    out = []
-    for j, rj in enumerate(rids):
-        if rj <= 0:
-            continue
-        for i in range(j):
-            if rids[i] != -rj:
-                continue
-            if any(rids[k] == rj for k in range(i)):
-                continue
-            if any(rids[k] == -rj for k in range(i + 1, j)):
-                continue
-            out.append((i, j, rj))
-    return out
-
-
-def test_special_pairs_match_loop(b2, g2):
-    # every vertex of every B2 word up to 6 letters and G2 word up to 5
-    checked = 0
-    for system, max_len in ((b2, 6), (g2, 5)):
-        for w in words_up_to(system.rank, max_len):
-            for g in build_all_graphs(Expression(system, w)):
-                for gamma in g.vertices:
-                    want = _special_pairs_loop(gamma)
-                    assert special_pairs(gamma) == want
-                    checked += bool(want)
-    assert checked > 100
-
-
 def test_order_compare_requires_same_target(ststs):
     g1 = Subexpression(ststs, [1, 1, 1, 1, 1])
     g2 = Subexpression(ststs, [0, 0, 0, 0, 0])
