@@ -98,6 +98,7 @@ def check_word(system: CoxeterSystem, letters, mode: str) -> dict:
                 out["ok"] = False
                 out.setdefault("witness", []).append(
                     {"dim": rep["dim"], "rank": rep["rank"],
+                     "split_vertices": rep["split_vertices"],
                      "vertex": "".join(map(str, g.vertices[0].bits))})
         else:                                   # table1: minimum-length basis
             lengths |= {c.length for c in cs.min_length_basis(g)}

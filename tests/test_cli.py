@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from subexpr import coxeter, sweeps
+from subexpr import coxeter, cyclespace, sweeps
 from subexpr.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -81,6 +81,60 @@ def test_verify_span(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["ok"]
     assert all(e["rank"] == e["dim"] for e in report["classes"])
+
+
+# the first 17 letters of a random A2~ word with no letter twice in a row
+# (random.Random(7)); its identity class has 4,120 vertices
+L17_WORD = "s2 s1 s2 s3 s1 s3 s1 s2 s3 s1 s3 s1 s2 s1 s3 s2 s1".split()
+
+
+def test_verify_span_long_identity_class(tmp_path):
+    # the class whose global GF(2) rank took 92 s and 826 MB
+    spec = write_spec(tmp_path, type="A2~", expression=L17_WORD, target=[])
+    out = tmp_path / "v"
+    assert main(["verify", "span", "--spec", spec, "--out", str(out)]) == EXIT_OK
+    [entry] = json.loads((out / "report.json").read_text())["classes"]
+    assert entry["n_vertices"] == 4120
+    assert entry["ok"] and entry["rank"] == entry["dim"] == 35938
+    assert "split_vertices" not in entry
+
+
+def _fail_span_at_top(monkeypatch):
+    """Make the link check leave each graph's top vertex split and the
+    global enumeration find nothing, so that every class with a cycle
+    fails."""
+    monkeypatch.setattr(cyclespace, "link_check",
+                        lambda g: (0, 0, {}, [g.n_vertices - 1]))
+    monkeypatch.setattr(cyclespace, "enumerate_generators",
+                        lambda g, basis=None: [])
+
+
+def test_verify_span_failure_names_the_split_vertex(tmp_path, capsys,
+                                                    monkeypatch):
+    spec = write_spec(tmp_path, type="B2",
+                      expression=["s1", "s1", "s2", "s2"], target=[])
+    _fail_span_at_top(monkeypatch)
+    out = tmp_path / "v"
+    assert main(["verify", "span", "--spec", spec,
+                 "--out", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    witness = json.loads(err)
+    # the identity class of s1 s1 s2 s2 is a square; its top vertex is 1111
+    assert witness["split_vertices"] == ["1111"]
+    assert not witness["ok"] and witness["rank"] == 0 < witness["dim"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["classes"] == [witness]
+
+
+def test_sweep_span_witness_carries_the_split_vertices(monkeypatch):
+    _fail_span_at_top(monkeypatch)
+    system = coxeter.named_system("B2")
+    out = sweeps.check_word(system, (0, 0, 1, 1), "span")
+    assert not out["ok"] and len(out["witness"]) == out["classes"] == 4
+    # the first class is the identity's, the square 0000 < ... < 1111
+    assert out["witness"][0] == {"dim": 1, "rank": 0, "vertex": "0000",
+                                 "split_vertices": ["1111"]}
 
 
 def test_verify_decompose_writes_replayable_certificates(tmp_path):

@@ -12,9 +12,9 @@ from subexpr.cyclespace import (ConditionViolated, DecompositionError,
                                 Gf2Basis, NotEven, certificate,
                                 check_certificate, cycle_space_dim, decompose,
                                 enumerate_generators, fundamental_cycles,
-                                gf2_rank, make_square, make_triangle,
-                                min_length_basis, move_edge, scan_generators,
-                                verify_span)
+                                gf2_rank, link_check, make_square,
+                                make_triangle, min_length_basis, move_edge,
+                                scan_generators, verify_span)
 from subexpr.expressions import (Expression, build_all_graphs, build_graph,
                                  is_special_pair, order_compare,
                                  subexpr_from_mask)
@@ -302,37 +302,183 @@ def _full_loop_report(g, gens):
 _BIG_SPAN_WORD = (0, 0, 0, 2, 1, 1, 2, 1, 0, 2, 0, 1, 1, 1)
 
 
+def _graphs_of(type_name, max_len):
+    """Every class of every word up to max_len letters, or with max_len
+    None the identity class of _BIG_SPAN_WORD."""
+    system = named_system(type_name)
+    if max_len is None:
+        return [build_graph(Expression(system, _BIG_SPAN_WORD),
+                            system.identity())]
+    return [g for w in words_up_to(system.rank, max_len)
+            for g in build_all_graphs(Expression(system, w))]
+
+
 @pytest.mark.parametrize("type_name, max_len", [
     ("B2", 7), ("G2", 6), ("A2~", 7), ("A2~", None)],
     ids=["B2<=7", "G2<=6", "A2~<=7", "A2~-big-span"])
 def test_enumeration_matches_full_loop(type_name, max_len, monkeypatch):
-    # Stopping at full rank and reusing the enumeration's basis must give
-    # the full loop's generators, in its order, and its span report.
-    system = named_system(type_name)
-    if max_len is None:
-        graphs = [build_graph(Expression(system, _BIG_SPAN_WORD),
-                              system.identity())]
-    else:
-        graphs = [g for w in words_up_to(system.rank, max_len)
-                  for g in build_all_graphs(Expression(system, w))]
-    scans, listed = [], []             # what verify_span's enumeration made
+    # Stopping at full rank and filling the caller's basis must give the
+    # full loop's generators, in its order, and its rank. verify_span,
+    # whose verdict comes from the link check, must give the full loop's
+    # report except the generator count: the scan's instances plus the
+    # link check's Cyc images.
+    scans = []                         # what the enumeration's scan made
 
     def scan_recorded(graph):
         scans.append(scan_generators(graph))
         return scans[-1]
 
-    def recorded(graph, basis=None):
-        listed.append(enumerate_generators(graph, basis))
-        return listed[-1]
-
     monkeypatch.setattr(cyclespace, "scan_generators", scan_recorded)
-    monkeypatch.setattr(cyclespace, "enumerate_generators", recorded)
-    for g in graphs:
-        got = verify_span(g)
+    for g in _graphs_of(type_name, max_len):
+        basis = Gf2Basis()
+        got = enumerate_generators(g, basis)
         # the scan is not under test: the reference reuses its result
-        want = _full_loop_generators(g, scans.pop())
-        assert got == _full_loop_report(g, want)
-        assert [c.to_json() for c in listed.pop()] == [c.to_json() for c in want]
+        scan = scans.pop()
+        want = _full_loop_generators(g, scan)
+        assert [c.to_json() for c in got] == [c.to_json() for c in want]
+        ref = _full_loop_report(g, want)
+        assert basis.rank == ref["rank"]
+        rep = verify_span(g)
+        _, _, cyc, _ = link_check(g)
+        assert rep.pop("n_generators") == len(scan) + len(cyc)
+        del ref["n_generators"]
+        assert rep == ref
+
+
+def _down_edges(gamma):
+    r = gamma.roots
+    return [(p, q) for q in range(len(r)) for p in range(q)
+            if abs(r[p]) == r[q] > 0]
+
+
+def _crossing(f1, f2):
+    (i, j), (k, l) = sorted((f1, f2))
+    return i < k < j < l
+
+
+def _nested(f1, f2):
+    (i, j), (k, l) = sorted((f1, f2))
+    return i < k and l < j
+
+
+def _link_split(g, joined, resolve=True):
+    """Reference link check: the vertices whose down-edges stay in more
+    than one part under the given join rule, after (unless resolve is
+    false) joining the ends at the vertex of the Cyc images that resolve
+    crossing special pairs in different parts."""
+    split = []
+    for v, gamma in enumerate(g.vertices):
+        down = _down_edges(gamma)
+        part = {f: {f} for f in down}
+
+        def join(f1, f2):
+            if part[f1] is not part[f2]:
+                merged = part[f1] | part[f2]
+                for f in merged:
+                    part[f] = merged
+
+        for f1, f2 in itertools.combinations(down, 2):
+            if joined(f1, f2):
+                join(f1, f2)
+        specials = sorted(f for f in down if is_special_pair(gamma, *f))
+        for f1, f2 in itertools.combinations(specials, 2):
+            if not resolve or not _crossing(f1, f2) or part[f1] is part[f2]:
+                continue
+            for c in cyclespace._resolve_crossing(g, v, f1, f2):
+                if c.anchor_mask == gamma.mask:
+                    ends = [gamma.mask ^ m for m in (c.vertex_masks[1],
+                                                     c.vertex_masks[-1])]
+                    join(*[tuple(i for i in range(len(gamma.roots))
+                                 if d >> i & 1) for d in ends])
+        if len({id(p) for p in part.values()}) > 1:
+            split.append(v)
+    return split
+
+
+@pytest.mark.parametrize("type_name, max_len", [
+    ("B2", 7), ("G2", 6), ("A2~", None)],
+    ids=["B2<=7", "G2<=6", "A2~-big-span"])
+def test_link_pairs_are_the_scan_instances(type_name, max_len):
+    # At every vertex the non-crossing pairs of down-edges are the scan's
+    # instances anchored there, each met once: a shared index makes a
+    # triangle, disjoint or nested folds a square. The link check counts
+    # the same triangles and squares.
+    for g in _graphs_of(type_name, max_len):
+        at = collections.defaultdict(list)     # anchor -> fold pairs at it
+        for c in scan_generators(g):
+            m = c.anchor_mask
+            folds = []
+            for other in (c.vertex_masks[1], c.vertex_masks[-1]):
+                diff = m ^ other
+                folds.append(((diff & -diff).bit_length() - 1,
+                              diff.bit_length() - 1))
+            assert len(set(folds[0]) | set(folds[1])) == c.length
+            at[m].append((tuple(sorted(folds)), c.length))
+        for gamma in g.vertices:
+            want = [(pair, 3 if len(set(pair[0]) | set(pair[1])) == 3 else 4)
+                    for pair in itertools.combinations(
+                        sorted(_down_edges(gamma)), 2)
+                    if not _crossing(*pair)]
+            assert sorted(at.pop(gamma.mask, [])) == sorted(want)
+        assert not at
+        triangles, squares, _, split = link_check(g)
+        lengths = collections.Counter(c.length for c in scan_generators(g))
+        assert (triangles, squares) == (lengths[3], lengths[4])
+        assert split == []
+
+
+@pytest.mark.parametrize("type_name, max_len, needs_crossing, without_nested", [
+    ("B2", 7, 68, 648), ("G2", 6, 0, 168)], ids=["B2<=7", "G2<=6"])
+def test_link_check_mutations_are_reported(type_name, max_len, needs_crossing,
+                                           without_nested, monkeypatch):
+    # Every link graph connects, but only with each part of the rule: with
+    # no crossing resolution the classes that resolved a crossing are
+    # split, and with nested folds left unjoined (no Sq2) many more are.
+    graphs = _graphs_of(type_name, max_len)
+    resolved = set()
+    resolve = cyclespace._resolve_crossing
+
+    def recorded(g, v, pair1, pair2):
+        resolved.add(id(g))
+        return resolve(g, v, pair1, pair2)
+
+    with monkeypatch.context() as m:
+        m.setattr(cyclespace, "_resolve_crossing", recorded)
+        assert all(link_check(g)[3] == [] for g in graphs)
+    assert len(resolved) == needs_crossing
+    with monkeypatch.context() as m:
+        m.setattr(cyclespace, "_resolve_crossing", lambda *args: [])
+        split = {id(g): link_check(g)[3] for g in graphs}
+    assert {k for k, vs in split.items() if vs} == resolved
+    # the reference rule gives the same split vertices
+    def rule(f1, f2):
+        return not _crossing(f1, f2)
+
+    for g in graphs:
+        assert _link_split(g, rule, resolve=False) == split[id(g)]
+        assert _link_split(g, rule) == []
+    without = [g for g in graphs if _link_split(
+        g, lambda f1, f2: not (_crossing(f1, f2) or _nested(f1, f2)))]
+    assert len(without) == without_nested
+
+
+def _split_at_top(g):
+    """A link check that leaves the top vertex split."""
+    return 0, 0, {}, [g.n_vertices - 1]
+
+
+def test_local_split_falls_back_to_the_global_rank(b2_graphs, monkeypatch):
+    monkeypatch.setattr(cyclespace, "link_check", _split_at_top)
+    for g in b2_graphs:
+        want = _full_loop_generators(g, scan_generators(g))
+        assert verify_span(g) == _full_loop_report(g, want)
+    # only when the fallback fails too does the report name the vertex
+    monkeypatch.setattr(cyclespace, "enumerate_generators",
+                        lambda g, basis=None: [])
+    g = max(b2_graphs, key=cycle_space_dim)
+    rep = verify_span(g)
+    assert not rep["ok"] and rep["rank"] == 0
+    assert rep["split_vertices"] == ["".join(map(str, g.vertices[-1].bits))]
 
 
 def _count_completion(g, monkeypatch):
