@@ -444,46 +444,66 @@ def enumerate_generators(g: SubexprGraph,
     return gens
 
 
+def _find(parent: List[int], x: int) -> int:
+    """The union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def link_check(g: SubexprGraph):
     """Check at every vertex that its link graph is connected.
 
-    The nodes of gamma's link graph are its down-edges, the folds (p, q),
-    p < q, with |r_p| = r_q > 0.  Two folds (i, j) and (k, l) that do not
-    cross (no i < k < j < l) are joined: they are the two edges at gamma
-    of exactly one Tr/Sq anchored there (a shared index gives Tr1, Tr2 or
-    Tr3, disjoint folds Sq1, nested folds Sq2), so the joined pairs are
-    the scan's instances.  Where the link graph is still split, each two
-    crossing special pairs in different parts are resolved into dihedral
-    Cyc images, and every image anchored at gamma joins its two edges
-    there.
+    The nodes of gamma's link graph are its down-edges: the graph's edges
+    to lower vertices, each read as its fold (p, q), p < q, which must
+    flip just bits p and q and have |r_p| = r_q > 0 at gamma
+    (ConditionViolated otherwise).  Two folds (i, j) and (k, l) that do
+    not cross (no i < k < j < l) are joined: they are the two edges at
+    gamma of exactly one Tr/Sq anchored there (a shared index gives Tr1,
+    Tr2 or Tr3, disjoint folds Sq1, nested folds Sq2), so the joined
+    pairs are the scan's instances.  Where the link graph is still
+    split, each two crossing special pairs in different parts are
+    resolved into dihedral Cyc images, and every image anchored at gamma
+    joins its two edges there.
 
     If every link graph is connected, the generators span: an even edge
     set with top vertex gamma meets gamma in evenly many down-edges, and
     a link path between two of them is a sum of generators anchored at
     gamma that meets gamma in just those two and touches nothing above.
+    More generally the generators anchored at a vertex with d down-edges
+    in c parts have rank d - c there, and generators with different top
+    vertices are independent, so the sum of d - c over the vertices is
+    a lower bound on the generators' rank.  It equals the cycle-space
+    dimension |E| - |V| + #components exactly when no link graph is
+    split and each component has one vertex without down-edges.
 
-    Returns (triangles, squares, cyc, split): the numbers of Tr and Sq
-    instances, the Cyc images the resolutions returned (edge set -> first
-    image) and the indices of the vertices whose link graph stayed split.
+    Returns (triangles, squares, cyc, split, rank): the numbers of Tr and
+    Sq instances, the Cyc images the resolutions returned (edge set ->
+    first image), the indices of the vertices whose link graph stayed
+    split and that lower bound on the rank.
     """
-    triangles = squares = 0
+    verts = g.vertices
+    downs: List[List[Tuple[int, int]]] = [[] for _ in verts]
+    folds: Dict[int, Tuple[int, int]] = {}     # mask difference -> its fold
+    for eid, (a, b, _) in enumerate(g.edges):
+        gamma = verts[b]
+        diff = verts[a].mask ^ gamma.mask
+        pq = folds.get(diff)
+        if pq is None:
+            pq = folds[diff] = _edge_positions(g, eid)
+        p, q = pq
+        if diff != 1 << p | 1 << q or not abs(gamma.roots[p]) == gamma.roots[q] > 0:
+            raise ConditionViolated(
+                f"edge {eid} is not a down-edge of vertex {b}")
+        downs[b].append(pq)
+    triangles = squares = rank = 0
     cyc: Dict[int, GeneratorCycle] = {}
     split: List[int] = []
-    for v, gamma in enumerate(g.vertices):
-        # the down-edges by closing index: (p, q) for each earlier p of q's color
-        down = []
-        seen: Dict[int, List[int]] = {}        # |root| -> positions so far
-        for q, rq in enumerate(gamma.roots):
-            at = seen.get(abs(rq))
-            if at is None:
-                seen[abs(rq)] = [q]
-                continue
-            if rq > 0:
-                down.extend([(p, q) for p in at])
-            at.append(q)
+    for v, down in enumerate(downs):
         n = len(down)
         if n < 2:
             continue
+        down.sort(key=lambda pq: (pq[1], pq[0]))
         parent = list(range(n))
         parts = n
         crossings = 0
@@ -495,7 +515,7 @@ def link_check(g: SubexprGraph):
                 if i < k < j < l:
                     crossings += 1
                 elif parts > 1:
-                    # find inlined: this runs for every pair of down-edges
+                    # _find inlined: this runs for every pair of down-edges
                     x, y = a, b
                     while parent[x] != x:
                         parent[x] = x = parent[parent[x]]
@@ -505,7 +525,7 @@ def link_check(g: SubexprGraph):
                         parent[y] = x
                         parts -= 1
         # two distinct folds share at most one index
-        deg = [0] * len(gamma.roots)
+        deg = [0] * len(verts[v].roots)
         for p, q in down:
             deg[p] += 1
             deg[q] += 1
@@ -516,7 +536,8 @@ def link_check(g: SubexprGraph):
             parts = _join_crossings(g, v, down, parent, parts, cyc)
             if parts > 1:
                 split.append(v)
-    return triangles, squares, cyc, split
+        rank += n - parts
+    return triangles, squares, cyc, split, rank
 
 
 def _join_crossings(g: SubexprGraph, v: int, down, parent, parts: int,
@@ -524,24 +545,19 @@ def _join_crossings(g: SubexprGraph, v: int, down, parent, parts: int,
     """Join gamma's link graph across crossing special pairs, from the
     Cyc images that resolve them; returns the number of parts left."""
     gamma = g.vertices[v]
-    node = {pq: a for a, pq in enumerate(down)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     specials = sorted(pq for pq in down if is_special_pair(gamma, *pq))
     for a, (i, k) in enumerate(specials):
         for j, l in specials[a + 1:]:
-            if not (i < j < k < l) or find(node[i, k]) == find(node[j, l]):
+            if not (i < j < k < l) or (_find(parent, down.index((i, k)))
+                                       == _find(parent, down.index((j, l)))):
                 continue
             for c in _resolve_crossing(g, v, (i, k), (j, l)):
                 cyc.setdefault(c.edges, c)
                 if c.anchor_mask != gamma.mask:
                     continue
                 # the folds of its two edges at gamma
-                x, y = (find(node[(d & -d).bit_length() - 1, d.bit_length() - 1])
+                x, y = (_find(parent, down.index(
+                            ((d & -d).bit_length() - 1, d.bit_length() - 1)))
                         for d in (gamma.mask ^ c.vertex_masks[1],
                                   gamma.mask ^ c.vertex_masks[-1]))
                 if x != y:
@@ -555,30 +571,21 @@ def _join_crossings(g: SubexprGraph, v: int, down, parent, parts: int,
 def verify_span(g: SubexprGraph) -> dict:
     """Check that the generators span the cycle space.
 
-    The verdict comes from ``link_check``.  It is sufficient but not
-    necessary, so a vertex it leaves split sends the check to the global
-    one: the rank of the enumerated generators, from the basis the
-    enumeration built.  Only when both fail does the report name the
-    split vertices (``split_vertices``, as bit strings)."""
-    dim = cycle_space_dim(g)
-    triangles, squares, cyc, split = link_check(g)
-    if not split:
-        rank = dim
-        n_generators = triangles + squares + len(cyc)
-        lengths = {c.length for c in cyc.values()}
-        if triangles:
-            lengths.add(3)
-        if squares:
-            lengths.add(4)
-    else:
-        basis = Gf2Basis()
-        gens = enumerate_generators(g, basis)
-        rank = basis.rank
-        n_generators = len(gens)
-        lengths = {c.length for c in gens}
+    The verdict comes from ``link_check``: ``rank`` is its lower bound on
+    the generators' rank, and ``ok`` says that it reaches the dimension.
+    When it does not, the report names the vertices whose link graph
+    stayed split (``split_vertices``, as bit strings)."""
+    components = g.n_components()
+    dim = g.n_edges - g.n_vertices + components
+    triangles, squares, cyc, split, rank = link_check(g)
+    lengths = {c.length for c in cyc.values()}
+    if triangles:
+        lengths.add(3)
+    if squares:
+        lengths.add(4)
     report = {"n_vertices": g.n_vertices, "n_edges": g.n_edges,
-              "components": g.n_components(), "dim": dim,
-              "n_generators": n_generators, "rank": rank,
+              "components": components, "dim": dim,
+              "n_generators": triangles + squares + len(cyc), "rank": rank,
               "lengths": sorted(lengths), "ok": rank == dim}
     if not report["ok"]:
         report["split_vertices"] = ["".join(map(str, g.vertices[v].bits))

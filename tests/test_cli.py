@@ -100,13 +100,10 @@ def test_verify_span_long_identity_class(tmp_path):
 
 
 def _fail_span_at_top(monkeypatch):
-    """Make the link check leave each graph's top vertex split and the
-    global enumeration find nothing, so that every class with a cycle
-    fails."""
+    """Make the link check leave each graph's top vertex split and
+    certify rank 0, so that every class with a cycle fails."""
     monkeypatch.setattr(cyclespace, "link_check",
-                        lambda g: (0, 0, {}, [g.n_vertices - 1]))
-    monkeypatch.setattr(cyclespace, "enumerate_generators",
-                        lambda g, basis=None: [])
+                        lambda g: (0, 0, {}, [g.n_vertices - 1], 0))
 
 
 def test_verify_span_failure_names_the_split_vertex(tmp_path, capsys,

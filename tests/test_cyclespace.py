@@ -15,8 +15,8 @@ from subexpr.cyclespace import (ConditionViolated, DecompositionError,
                                 gf2_rank, link_check, make_square,
                                 make_triangle, min_length_basis, move_edge,
                                 scan_generators, verify_span)
-from subexpr.expressions import (Expression, build_all_graphs, build_graph,
-                                 is_special_pair, order_compare,
+from subexpr.expressions import (Expression, SubexprGraph, build_all_graphs,
+                                 build_graph, is_special_pair, order_compare,
                                  subexpr_from_mask)
 
 
@@ -339,7 +339,7 @@ def test_enumeration_matches_full_loop(type_name, max_len, monkeypatch):
         ref = _full_loop_report(g, want)
         assert basis.rank == ref["rank"]
         rep = verify_span(g)
-        _, _, cyc, _ = link_check(g)
+        _, _, cyc, _, _ = link_check(g)
         assert rep.pop("n_generators") == len(scan) + len(cyc)
         del ref["n_generators"]
         assert rep == ref
@@ -421,10 +421,10 @@ def test_link_pairs_are_the_scan_instances(type_name, max_len):
                     if not _crossing(*pair)]
             assert sorted(at.pop(gamma.mask, [])) == sorted(want)
         assert not at
-        triangles, squares, _, split = link_check(g)
+        triangles, squares, _, split, rank = link_check(g)
         lengths = collections.Counter(c.length for c in scan_generators(g))
         assert (triangles, squares) == (lengths[3], lengths[4])
-        assert split == []
+        assert split == [] and rank == cycle_space_dim(g)
 
 
 @pytest.mark.parametrize("type_name, max_len, needs_crossing, without_nested", [
@@ -462,23 +462,41 @@ def test_link_check_mutations_are_reported(type_name, max_len, needs_crossing,
     assert len(without) == without_nested
 
 
-def _split_at_top(g):
-    """A link check that leaves the top vertex split."""
-    return 0, 0, {}, [g.n_vertices - 1]
-
-
-def test_local_split_falls_back_to_the_global_rank(b2_graphs, monkeypatch):
-    monkeypatch.setattr(cyclespace, "link_check", _split_at_top)
+def test_split_vertices_fail_the_report(b2_graphs, monkeypatch):
+    # With no crossing resolved, the classes that needed one fail: the
+    # rank stays below the dimension and the report names the vertices.
+    monkeypatch.setattr(cyclespace, "_resolve_crossing", lambda *args: [])
+    failed = 0
     for g in b2_graphs:
-        want = _full_loop_generators(g, scan_generators(g))
-        assert verify_span(g) == _full_loop_report(g, want)
-    # only when the fallback fails too does the report name the vertex
-    monkeypatch.setattr(cyclespace, "enumerate_generators",
-                        lambda g, basis=None: [])
+        rep = verify_span(g)
+        split = link_check(g)[3]
+        assert rep["ok"] == (split == [])
+        if split:
+            failed += 1
+            assert rep["rank"] < rep["dim"]
+            assert rep["split_vertices"] == [
+                "".join(map(str, g.vertices[v].bits)) for v in split]
+        else:
+            assert "split_vertices" not in rep
+    assert failed
+
+
+def test_link_check_reads_the_graph_edges(b2_graphs):
+    # The link graphs are built from the graph's edges: dropping the top
+    # vertex's down-edges lowers the certified rank by their number less
+    # one, and a pair of vertices more than one fold apart is refused as
+    # an edge.
     g = max(b2_graphs, key=cycle_space_dim)
-    rep = verify_span(g)
-    assert not rep["ok"] and rep["rank"] == 0
-    assert rep["split_vertices"] == ["".join(map(str, g.vertices[-1].bits))]
+    top = g.n_vertices - 1
+    kept = [e for e in g.edges if e[1] != top]
+    h = SubexprGraph(g.expr, g.target_eid, g.vertices, kept, g.vertex_index)
+    assert link_check(h)[4] == link_check(g)[4] - (g.n_edges - len(kept) - 1)
+    far = next((a, b) for b in range(g.n_vertices) for a in range(b)
+               if bin(g.vertices[a].mask ^ g.vertices[b].mask).count("1") > 2)
+    h = SubexprGraph(g.expr, g.target_eid, g.vertices,
+                     sorted(g.edges + [far + (0,)]), g.vertex_index)
+    with pytest.raises(ConditionViolated):
+        link_check(h)
 
 
 def _count_completion(g, monkeypatch):
