@@ -492,7 +492,8 @@ def link_check(g: SubexprGraph):
         if pq is None:
             pq = folds[diff] = _edge_positions(g, eid)
         p, q = pq
-        if diff != 1 << p | 1 << q or not abs(gamma.roots[p]) == gamma.roots[q] > 0:
+        if (diff != 1 << p | 1 << q
+                or not abs(gamma.roots[p]) == gamma.roots[q] > 0):
             raise ConditionViolated(
                 f"edge {eid} is not a down-edge of vertex {b}")
         downs[b].append(pq)

@@ -484,19 +484,29 @@ def test_split_vertices_fail_the_report(b2_graphs, monkeypatch):
 def test_link_check_reads_the_graph_edges(b2_graphs):
     # The link graphs are built from the graph's edges: dropping the top
     # vertex's down-edges lowers the certified rank by their number less
-    # one, and a pair of vertices more than one fold apart is refused as
-    # an edge.
+    # one. An edge is refused when its vertices are more than one fold
+    # apart, even if the outer two bits meet the fold condition, or when
+    # it is listed from its lower end.
     g = max(b2_graphs, key=cycle_space_dim)
     top = g.n_vertices - 1
     kept = [e for e in g.edges if e[1] != top]
     h = SubexprGraph(g.expr, g.target_eid, g.vertices, kept, g.vertex_index)
     assert link_check(h)[4] == link_check(g)[4] - (g.n_edges - len(kept) - 1)
-    far = next((a, b) for b in range(g.n_vertices) for a in range(b)
-               if bin(g.vertices[a].mask ^ g.vertices[b].mask).count("1") > 2)
-    h = SubexprGraph(g.expr, g.target_eid, g.vertices,
-                     sorted(g.edges + [far + (0,)]), g.vertex_index)
-    with pytest.raises(ConditionViolated):
-        link_check(h)
+
+    def fold_at(a, b):
+        diff = g.vertices[a].mask ^ g.vertices[b].mask
+        r = g.vertices[b].roots
+        p, q = (diff & -diff).bit_length() - 1, diff.bit_length() - 1
+        return bin(diff).count("1") > 2 and abs(r[p]) == r[q] > 0
+
+    far = next((a, b, 0) for b in range(g.n_vertices) for a in range(b)
+               if fold_at(a, b))
+    a, b, color = g.edges[0]
+    for bad in (far, (b, a, color)):
+        h = SubexprGraph(g.expr, g.target_eid, g.vertices,
+                         sorted(g.edges + [bad]), g.vertex_index)
+        with pytest.raises(ConditionViolated):
+            link_check(h)
 
 
 def _count_completion(g, monkeypatch):
