@@ -112,10 +112,17 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _stats(g) -> dict:
-    gens = cs.enumerate_generators(g)
+    """Sizes and the generator lengths of the family ``verify span`` counts."""
+    components = g.n_components()
+    triangles, squares, cyc, split, _ = cs.link_check(g)
+    if split:
+        raise cs.DecompositionError(
+            f"link graphs split at {len(split)} of {g.n_vertices} vertices")
     return {"n_vertices": g.n_vertices, "n_edges": g.n_edges,
-            "components": g.n_components(), "dim": cs.cycle_space_dim(g),
-            "lengths": sorted(c.length for c in gens)}
+            "components": components,
+            "dim": g.n_edges - g.n_vertices + components,
+            "lengths": sorted([3] * triangles + [4] * squares
+                              + [c.length for c in cyc.values()])}
 
 
 def cmd_graph(args) -> int:

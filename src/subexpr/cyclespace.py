@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import dihedral
 from .expressions import Subexpression, SubexprGraph, is_special_pair
@@ -52,9 +52,6 @@ class Gf2Basis:
             return False
         self.pivots[v.bit_length() - 1] = v
         return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
 
     @property
     def rank(self) -> int:
@@ -407,38 +404,19 @@ def fundamental_cycles(g: SubexprGraph) -> List[int]:
     return out
 
 
-def enumerate_generators(g: SubexprGraph,
-                         basis: Optional[Gf2Basis] = None) -> List[GeneratorCycle]:
-    """A generating family of the cycle space: the Tr/Sq scan, completed by
-    the dihedral Cyc images from constructively decomposing the fundamental
-    cycles not already in the scan's span (so they come exactly where they
-    are needed).  Every Tr/Sq that ``decompose`` emits meets the root
-    conditions at a vertex, so the scan already has it.
+def enumerate_generators(g: SubexprGraph) -> List[GeneratorCycle]:
+    """The generating family that ``verify_span`` counts: the Tr/Sq scan
+    plus the dihedral Cyc images that ``link_check`` resolved crossing
+    special pairs into where the Tr/Sq left a link graph split, in
+    generator order.
 
-    One elimination serves the whole enumeration: every generator's edge
-    set goes into ``basis`` (a fresh one when none is given; pass an
-    empty one to read the generators' rank afterwards), and the completion
-    stops once the rank reaches the cycle-space dimension, the number of
-    fundamental cycles, since every cycle left is then in the span.
-    """
-    if basis is None:
-        basis = Gf2Basis()
+    Raises DecompositionError when a link graph stays split, since the
+    family is then not certified to span."""
+    _, _, cyc, split, _ = link_check(g)
+    if split:
+        raise DecompositionError(
+            f"link graphs split at {len(split)} of {g.n_vertices} vertices")
     gens = scan_generators(g)
-    for c in gens:
-        basis.add(c.edges)
-    fcs = fundamental_cycles(g)
-    dim = len(fcs)
-    cyc: Dict[int, GeneratorCycle] = {}    # edge set -> first Cyc image
-    for fc in fcs:
-        if basis.rank == dim:
-            break
-        if basis.contains(fc):
-            continue
-        for c in decompose(g, fc):
-            if c.kind in ("Cyc1", "Cyc2") and c.edges not in cyc:
-                cyc[c.edges] = c
-                basis.add(c.edges)
-    del fcs                                # free the masks before the sort's peak
     if cyc:
         gens = sorted(gens + list(cyc.values()), key=_generator_order)
     return gens

@@ -63,6 +63,33 @@ def test_graph_matches_golden_output(tmp_path, name):
         assert (out / fname).read_bytes() == (golden / fname).read_bytes(), fname
 
 
+# every class of a 12-letter A2~ word
+A2T_12_WORD = "s2 s3 s2 s1 s2 s1 s2 s3 s2 s3 s1 s3".split()
+
+
+@pytest.mark.parametrize("spec", [
+    "graph_b2", "graph_a2t_identity",
+    {"type": "A2~", "expression": A2T_12_WORD, "target": "all"}],
+    ids=["graph_b2", "graph_a2t_identity", "A2~-12"])
+def test_graph_and_verify_span_report_one_family(tmp_path, spec):
+    # graph's stats.json lists one length per generator that verify span
+    # counts, and the same set of lengths
+    if isinstance(spec, str):
+        path = str(Path(__file__).parent / "data" / spec / "spec.json")
+    else:
+        path = write_spec(tmp_path, **spec)
+    g_out, v_out = tmp_path / "g", tmp_path / "v"
+    assert main(["graph", "--spec", path, "--out", str(g_out)]) == EXIT_OK
+    assert main(["verify", "span", "--spec", path,
+                 "--out", str(v_out)]) == EXIT_OK
+    stats = json.loads((g_out / "stats.json").read_text())["graphs"]
+    report = json.loads((v_out / "report.json").read_text())["classes"]
+    assert len(stats) == len(report)
+    for s, r in zip(stats, report):
+        assert len(s["lengths"]) == r["n_generators"]
+        assert sorted(set(s["lengths"])) == r["lengths"]
+
+
 def test_verify_connectivity(a2_spec, tmp_path):
     out = tmp_path / "v"
     code = main(["verify", "connectivity", "--spec", a2_spec,

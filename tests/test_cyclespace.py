@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import words_up_to
 
-from subexpr import cyclespace, dihedral
+from subexpr import cyclespace, dihedral, sweeps
 from subexpr.coxeter import named_system
 from subexpr.cyclespace import (ConditionViolated, DecompositionError,
                                 Gf2Basis, NotEven, certificate,
@@ -43,8 +43,8 @@ def test_gf2_basis_unit():
     assert b.add(0b011)
     assert not b.add(0b110)          # dependent
     assert b.rank == 2
-    assert b.contains(0b110)
-    assert not b.contains(0b001)
+    assert b.reduce(0b110) == 0
+    assert b.reduce(0b001) != 0
     assert b.reduce(0b101) == 0
 
 
@@ -278,7 +278,7 @@ def _full_loop_generators(g, scan):
         found.setdefault(c.edges, c)
         basis.add(c.edges)
     for fc in fundamental_cycles(g):
-        if basis.contains(fc):
+        if not basis.reduce(fc):
             continue
         for c in decompose(g, fc):
             found.setdefault(c.edges, c)
@@ -313,15 +313,20 @@ def _graphs_of(type_name, max_len):
             for g in build_all_graphs(Expression(system, w))]
 
 
+def _basis_of(gens):
+    basis = Gf2Basis()
+    for c in gens:
+        basis.add(c.edges)
+    return basis
+
+
 @pytest.mark.parametrize("type_name, max_len", [
     ("B2", 7), ("G2", 6), ("A2~", 7), ("A2~", None)],
     ids=["B2<=7", "G2<=6", "A2~<=7", "A2~-big-span"])
 def test_enumeration_matches_full_loop(type_name, max_len, monkeypatch):
-    # Stopping at full rank and filling the caller's basis must give the
-    # full loop's generators, in its order, and its rank. verify_span,
-    # whose verdict comes from the link check, must give the full loop's
-    # report except the generator count: the scan's instances plus the
-    # link check's Cyc images.
+    # The scan plus the link check's Cyc images must span the space the
+    # full loop's generators span, of rank dim, and verify_span must
+    # report exactly what a second elimination over that family gives.
     scans = []                         # what the enumeration's scan made
 
     def scan_recorded(graph):
@@ -330,19 +335,15 @@ def test_enumeration_matches_full_loop(type_name, max_len, monkeypatch):
 
     monkeypatch.setattr(cyclespace, "scan_generators", scan_recorded)
     for g in _graphs_of(type_name, max_len):
-        basis = Gf2Basis()
-        got = enumerate_generators(g, basis)
+        got = enumerate_generators(g)
         # the scan is not under test: the reference reuses its result
         scan = scans.pop()
         want = _full_loop_generators(g, scan)
-        assert [c.to_json() for c in got] == [c.to_json() for c in want]
-        ref = _full_loop_report(g, want)
-        assert basis.rank == ref["rank"]
-        rep = verify_span(g)
-        _, _, cyc, _, _ = link_check(g)
-        assert rep.pop("n_generators") == len(scan) + len(cyc)
-        del ref["n_generators"]
-        assert rep == ref
+        got_basis, want_basis = _basis_of(got), _basis_of(want)
+        assert all(got_basis.reduce(c.edges) == 0 for c in want)
+        assert all(want_basis.reduce(c.edges) == 0 for c in got)
+        assert got_basis.rank == want_basis.rank == cycle_space_dim(g)
+        assert verify_span(g) == _full_loop_report(g, got)
 
 
 def _down_edges(gamma):
@@ -509,69 +510,44 @@ def test_link_check_reads_the_graph_edges(b2_graphs):
             link_check(h)
 
 
-def _count_completion(g, monkeypatch):
-    """Run enumerate_generators with decompose and Gf2Basis.contains
-    counted; returns (contains calls, the cycles decompose was given)."""
-    contains_calls = []
-    decomposed = []
-    contains, decomp = Gf2Basis.contains, cyclespace.decompose
-
-    def counted_contains(self, v):
-        contains_calls.append(v)
-        return contains(self, v)
-
-    def counted_decompose(graph, even):
-        decomposed.append(even)
-        return decomp(graph, even)
-
-    with monkeypatch.context() as m:
-        m.setattr(Gf2Basis, "contains", counted_contains)
-        m.setattr(cyclespace, "decompose", counted_decompose)
-        enumerate_generators(g)
-    return contains_calls, decomposed
-
-
-def _scan_rank(g):
-    return gf2_rank(c.edges for c in scan_generators(g))
-
-
-def test_spanning_scan_runs_no_completion(g2_graphs, monkeypatch):
-    # The scan alone spans the largest class of the 8-letter G2 word
-    # (dim 82): no fundamental cycle is tested or decomposed.
-    g = max(g2_graphs, key=cycle_space_dim)
-    assert cycle_space_dim(g) == 82 and _scan_rank(g) == 82
-    assert _count_completion(g, monkeypatch) == ([], [])
-
-
-def test_completion_stops_at_full_rank(b2, monkeypatch):
-    # On classes that need Cyc cycles, the completion tests fundamental
-    # cycles up to the one whose decomposition brings the rank to dim,
-    # and no further.
+@pytest.fixture(scope="module")
+def b2_crossing_graphs(b2):
+    """The classes of s t s t s t s in B2 whose link graphs need a
+    crossing resolved."""
     graphs = build_all_graphs(Expression(b2, (0, 1, 0, 1, 0, 1, 0)))
-    skipped = 0
-    for g in graphs:
-        fcs = fundamental_cycles(g)
-        if _scan_rank(g) == len(fcs):
-            continue
-        # replay the full loop to find where the rank reaches dim
-        basis = Gf2Basis()
-        for c in scan_generators(g):
-            basis.add(c.edges)
-        needed = []
-        for k, fc in enumerate(fcs):
-            if basis.reduce(fc):
-                needed.append(fc)
-                for c in decompose(g, fc):
-                    basis.add(c.edges)
-            if basis.rank == len(fcs):
-                break
-        assert basis.rank == len(fcs)
-        contains_calls, decomposed = _count_completion(g, monkeypatch)
-        assert contains_calls == fcs[:k + 1]
-        assert decomposed == needed and decomposed[-1] == fcs[k]
-        assert any(c.kind.startswith("Cyc") for c in enumerate_generators(g))
-        skipped += len(fcs) - (k + 1)
-    assert skipped > 0, "no class stopped before its last fundamental cycle"
+    out = [g for g in graphs if link_check(g)[2]]
+    assert out
+    return out
+
+
+def test_enumeration_runs_no_completion(b2_crossing_graphs, monkeypatch):
+    # The family comes from the scan and the link check alone: no
+    # fundamental cycle is built or decomposed, and it still spans, with
+    # the Cyc images the crossings need.
+    def refuse(*args):
+        raise AssertionError("the completion ran")
+
+    monkeypatch.setattr(cyclespace, "decompose", refuse)
+    monkeypatch.setattr(cyclespace, "fundamental_cycles", refuse)
+    for g in b2_crossing_graphs:
+        gens = enumerate_generators(g)
+        assert any(c.kind.startswith("Cyc") for c in gens)
+        assert gf2_rank(c.edges for c in gens) == cycle_space_dim(g)
+        assert len(min_length_basis(g)) == cycle_space_dim(g)
+
+
+def test_split_link_graph_raises(b2, b2_crossing_graphs, monkeypatch):
+    # With no crossing resolved the Tr/Sq leave link graphs split: the
+    # family is not certified to span, so no basis comes back.
+    monkeypatch.setattr(cyclespace, "_resolve_crossing", lambda *args: [])
+    for g in b2_crossing_graphs:
+        assert link_check(g)[3]
+        with pytest.raises(DecompositionError):
+            enumerate_generators(g)
+        with pytest.raises(DecompositionError):
+            min_length_basis(g)
+    with pytest.raises(DecompositionError):
+        sweeps.check_word(b2, (0, 1, 0, 1, 0, 1, 0), "table1")
 
 
 def test_certificate_round_trip(b2_graphs):
