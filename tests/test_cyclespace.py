@@ -520,20 +520,50 @@ def b2_crossing_graphs(b2):
     return out
 
 
-def test_enumeration_runs_no_completion(b2_crossing_graphs, monkeypatch):
+def _refuse_completion(monkeypatch):
     # The family comes from the scan and the link check alone: no
-    # fundamental cycle is built or decomposed, and it still spans, with
-    # the Cyc images the crossings need.
+    # fundamental cycle is built or decomposed.
     def refuse(*args):
         raise AssertionError("the completion ran")
 
     monkeypatch.setattr(cyclespace, "decompose", refuse)
     monkeypatch.setattr(cyclespace, "fundamental_cycles", refuse)
+
+
+def _scan_rank(g):
+    return gf2_rank(c.edges for c in scan_generators(g))
+
+
+def test_spanning_scan_runs_no_completion(g2_graphs, monkeypatch):
+    # The scan alone spans the largest class of the 8-letter G2 word
+    # (dim 82): the link check resolves no crossing and the family is
+    # the scan's.
+    _refuse_completion(monkeypatch)
+    g = max(g2_graphs, key=cycle_space_dim)
+    assert cycle_space_dim(g) == 82 and _scan_rank(g) == 82
+    triangles, squares, cyc, split, rank = link_check(g)
+    assert not cyc and not split and rank == 82
+    gens = enumerate_generators(g)
+    assert [c.to_json() for c in gens] == [c.to_json()
+                                           for c in scan_generators(g)]
+    assert len(gens) == triangles + squares
+    assert len(min_length_basis(g)) == 82
+
+
+def test_completion_stops_at_full_rank(b2_crossing_graphs, monkeypatch):
+    # On the classes whose scan falls short of dim, the Cyc images of the
+    # link check's crossing resolutions bring the rank to dim, and the
+    # greedy basis over that family stops there.
+    _refuse_completion(monkeypatch)
     for g in b2_crossing_graphs:
+        dim = cycle_space_dim(g)
+        assert _scan_rank(g) < dim
         gens = enumerate_generators(g)
         assert any(c.kind.startswith("Cyc") for c in gens)
-        assert gf2_rank(c.edges for c in gens) == cycle_space_dim(g)
-        assert len(min_length_basis(g)) == cycle_space_dim(g)
+        assert gf2_rank(c.edges for c in gens) == dim
+        basis = min_length_basis(g)
+        assert len(basis) == dim and gf2_rank(c.edges for c in basis) == dim
+        assert any(c.kind.startswith("Cyc") for c in basis)
 
 
 def test_split_link_graph_raises(b2, b2_crossing_graphs, monkeypatch):
