@@ -115,9 +115,7 @@ def _stats(g) -> dict:
     """Sizes and the generator lengths of the family ``verify span`` counts."""
     components = g.n_components()
     triangles, squares, cyc, split, _ = cs.link_check(g)
-    if split:
-        raise cs.DecompositionError(
-            f"link graphs split at {len(split)} of {g.n_vertices} vertices")
+    cs.raise_if_split(g, split)
     return {"n_vertices": g.n_vertices, "n_edges": g.n_edges,
             "components": components,
             "dim": g.n_edges - g.n_vertices + components,
@@ -128,15 +126,12 @@ def _stats(g) -> dict:
 def cmd_graph(args) -> int:
     spec = load_spec(args.spec, args)
     _, graphs = _graphs_of(spec)
-    out = Path(args.out)                # made only once the build succeeded
+    stats = [dict(_stats(g), index=idx, dot=f"graph_{idx:03d}.dot")
+             for idx, g in enumerate(graphs)]
+    out = Path(args.out)                # made only once every class passed
     out.mkdir(parents=True, exist_ok=True)
-    stats = []
-    for idx, g in enumerate(graphs):
-        name = f"graph_{idx:03d}.dot"
-        (out / name).write_text(g.to_dot(), encoding="utf-8")
-        entry = {"index": idx, "dot": name}
-        entry.update(_stats(g))
-        stats.append(entry)
+    for g, entry in zip(graphs, stats):
+        (out / entry["dot"]).write_text(g.to_dot(), encoding="utf-8")
     _write_json(out / "stats.json", {"expression": list(spec.expression),
                                      "graphs": stats})
     return EXIT_OK
@@ -272,6 +267,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except cs.DecompositionError as exc:            # a verification failure
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -168,6 +168,30 @@ def _edge_positions(g: SubexprGraph, eid: int) -> Tuple[int, int]:
     return p, q
 
 
+def _down_edges(g: SubexprGraph) -> List[List[Tuple[int, int]]]:
+    """Each vertex's down-edges, read from the graph's edges as folds.
+
+    An edge is a down-edge of its greater end gamma, read as its fold
+    (p, q), p < q, which must flip just bits p and q and have
+    |r_p| = r_q > 0 at gamma (ConditionViolated otherwise)."""
+    verts = g.vertices
+    downs: List[List[Tuple[int, int]]] = [[] for _ in verts]
+    folds: Dict[int, Tuple[int, int]] = {}     # mask difference -> its fold
+    for eid, (a, b, _) in enumerate(g.edges):
+        gamma = verts[b]
+        diff = verts[a].mask ^ gamma.mask
+        pq = folds.get(diff)
+        if pq is None:
+            pq = folds[diff] = _edge_positions(g, eid)
+        p, q = pq
+        if (diff != 1 << p | 1 << q
+                or not abs(gamma.roots[p]) == gamma.roots[q] > 0):
+            raise ConditionViolated(
+                f"edge {eid} is not a down-edge of vertex {b}")
+        downs[b].append(pq)
+    return downs
+
+
 def move_edge(g: SubexprGraph, v: int, pq: Tuple[int, int]):
     """Move the edge {gamma, f_pq gamma} to a special pair at gamma.
 
@@ -210,17 +234,18 @@ def move_edge(g: SubexprGraph, v: int, pq: Tuple[int, int]):
         return (p, q), used
 
 
-def _resolve_special_pairs(g: SubexprGraph, v: int, pair1, pair2):
-    """Cycles anchored at vertex v whose sum at v is the two special edges."""
+def _join(g: SubexprGraph, v: int, f1, f2) -> List[GeneratorCycle]:
+    """The cycles anchored at vertex v whose sum meets v in just the two
+    down-edges with folds f1 and f2: one Tr/Sq unless the folds cross,
+    the dihedral Cyc images that resolve them (two special pairs) if so."""
     gamma = g.vertices[v]
-    i, k = pair1
-    j, l = pair2
-    if (i, k) > (j, l):
-        (i, k), (j, l) = (j, l), (i, k)
+    (i, k), (j, l) = sorted((f1, f2))
     if i == j:                                         # shared opening index
-        return [make_triangle(g, gamma, "Tr1", i, min(k, l), max(k, l))]
+        return [make_triangle(g, gamma, "Tr1", i, k, l)]
     if k == l:                                         # shared closing index
         return [make_triangle(g, gamma, "Tr2", i, j, k)]
+    if k == j:                                         # chained
+        return [make_triangle(g, gamma, "Tr3", i, j, l)]
     if k < j:                                          # disjoint
         return [make_square(g, gamma, "Sq1", i, k, j, l)]
     if l < k:                                          # nested: (i,k) over (j,l)
@@ -323,7 +348,7 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
         if len(at_v) % 2:
             raise DecompositionError("odd number of special edges at the top")
         for (pq1, _), (pq2, _) in zip(at_v[0::2], at_v[1::2]):
-            for c in _resolve_special_pairs(g, v, pq1, pq2):
+            for c in _join(g, v, pq1, pq2):
                 out.append(c)
                 toggle(c.edges)
         if deg[v]:
@@ -335,44 +360,27 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
 
 def _generator_order(c: GeneratorCycle):
     """Sort key of generator lists: short cycles first, then a fixed order.
-
-    The order is load-bearing: fed in vertex order instead, the GF(2)
-    elimination of 14-letter A2~ identity classes ran 1.3 to 2.2 times
-    as long."""
+    ``min_length_basis`` relies on it, as it keeps each generator that is
+    independent of the shorter ones before it."""
     return (c.length, c.kind, c.anchor_mask, c.indices)
 
 
 def scan_generators(g: SubexprGraph) -> List[GeneratorCycle]:
-    """All Tr/Sq instances: every index tuple meeting a kind's root
-    conditions at some vertex, in generator order.
+    """All Tr/Sq instances, in generator order: at every vertex, the one
+    ``_join`` gives for each pair of its down-edges that do not cross.
 
-    Each tuple the loops try meets its kind's conditions, so a
+    Each such pair meets its kind's root conditions, so a
     ``ConditionViolated`` here is a fault and propagates.  An instance is
     fixed by its anchor, kind and indices, and no two share an edge set.
     """
     out: List[GeneratorCycle] = []
-    for gamma in g.vertices:
-        r = gamma.roots
-        m = len(r)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(r[i]) != abs(r[j]):
-                    continue
-                for k in range(j + 1, m):
-                    # every kind needs r[k] > 0, and Tr1/Tr3 also r[j] > 0
-                    if abs(r[k]) != abs(r[j]) or r[k] < 0:
-                        continue
-                    for kind in (("Tr1", "Tr2", "Tr3") if r[j] > 0
-                                 else ("Tr2",)):
-                        out.append(make_triangle(g, gamma, kind, i, j, k))
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
-                 if abs(r[i]) == abs(r[j]) and r[j] > 0]
-        for i, j in pairs:
-            for k, l in pairs:
-                if j < k:
-                    out.append(make_square(g, gamma, "Sq1", i, j, k, l))
-                if i < k and l < j:
-                    out.append(make_square(g, gamma, "Sq2", i, k, l, j))
+    for v, down in enumerate(_down_edges(g)):
+        down.sort()
+        for a, (i, j) in enumerate(down):
+            for k, l in down[a + 1:]:
+                # down is in tuple order, so i <= k
+                if not i < k < j < l:
+                    out += _join(g, v, (i, j), (k, l))
     out.sort(key=_generator_order)
     return out
 
@@ -404,18 +412,25 @@ def fundamental_cycles(g: SubexprGraph) -> List[int]:
     return out
 
 
+def _bit_strings(g: SubexprGraph, vs: Iterable[int]) -> List[str]:
+    return ["".join(map(str, g.vertices[v].bits)) for v in vs]
+
+
+def raise_if_split(g: SubexprGraph, split: List[int]) -> None:
+    """Refuse a family whose link graphs stayed split: it may not span."""
+    if split:
+        raise DecompositionError(
+            f"link graphs split at {len(split)} of {g.n_vertices} vertices: "
+            + " ".join(_bit_strings(g, split)))
+
+
 def enumerate_generators(g: SubexprGraph) -> List[GeneratorCycle]:
     """The generating family that ``verify_span`` counts: the Tr/Sq scan
     plus the dihedral Cyc images that ``link_check`` resolved crossing
     special pairs into where the Tr/Sq left a link graph split, in
-    generator order.
-
-    Raises DecompositionError when a link graph stays split, since the
-    family is then not certified to span."""
+    generator order.  Raises DecompositionError if one stays split."""
     _, _, cyc, split, _ = link_check(g)
-    if split:
-        raise DecompositionError(
-            f"link graphs split at {len(split)} of {g.n_vertices} vertices")
+    raise_if_split(g, split)
     gens = scan_generators(g)
     if cyc:
         gens = sorted(gens + list(cyc.values()), key=_generator_order)
@@ -432,15 +447,11 @@ def _find(parent: List[int], x: int) -> int:
 def link_check(g: SubexprGraph):
     """Check at every vertex that its link graph is connected.
 
-    The nodes of gamma's link graph are its down-edges: the graph's edges
-    to lower vertices, each read as its fold (p, q), p < q, which must
-    flip just bits p and q and have |r_p| = r_q > 0 at gamma
-    (ConditionViolated otherwise).  Two folds (i, j) and (k, l) that do
-    not cross (no i < k < j < l) are joined: they are the two edges at
-    gamma of exactly one Tr/Sq anchored there (a shared index gives Tr1,
-    Tr2 or Tr3, disjoint folds Sq1, nested folds Sq2), so the joined
-    pairs are the scan's instances.  Where the link graph is still
-    split, each two crossing special pairs in different parts are
+    The nodes of gamma's link graph are its down-edges (``_down_edges``).
+    Two folds (i, j) and (k, l) that do not cross (no i < k < j < l) are
+    joined: they are the two edges at gamma of the one Tr/Sq that
+    ``_join`` builds for them, a scan instance.  Where the link graph is
+    still split, each two crossing special pairs in different parts are
     resolved into dihedral Cyc images, and every image anchored at gamma
     joins its two edges there.
 
@@ -461,24 +472,10 @@ def link_check(g: SubexprGraph):
     split and that lower bound on the rank.
     """
     verts = g.vertices
-    downs: List[List[Tuple[int, int]]] = [[] for _ in verts]
-    folds: Dict[int, Tuple[int, int]] = {}     # mask difference -> its fold
-    for eid, (a, b, _) in enumerate(g.edges):
-        gamma = verts[b]
-        diff = verts[a].mask ^ gamma.mask
-        pq = folds.get(diff)
-        if pq is None:
-            pq = folds[diff] = _edge_positions(g, eid)
-        p, q = pq
-        if (diff != 1 << p | 1 << q
-                or not abs(gamma.roots[p]) == gamma.roots[q] > 0):
-            raise ConditionViolated(
-                f"edge {eid} is not a down-edge of vertex {b}")
-        downs[b].append(pq)
     triangles = squares = rank = 0
     cyc: Dict[int, GeneratorCycle] = {}
     split: List[int] = []
-    for v, down in enumerate(downs):
+    for v, down in enumerate(_down_edges(g)):
         n = len(down)
         if n < 2:
             continue
@@ -567,8 +564,7 @@ def verify_span(g: SubexprGraph) -> dict:
               "n_generators": triangles + squares + len(cyc), "rank": rank,
               "lengths": sorted(lengths), "ok": rank == dim}
     if not report["ok"]:
-        report["split_vertices"] = ["".join(map(str, g.vertices[v].bits))
-                                    for v in split]
+        report["split_vertices"] = _bit_strings(g, split)
     return report
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,26 @@ def test_graph_matches_golden_output(tmp_path, name):
     assert sorted(p.name for p in out.iterdir()) == want
     for fname in want:
         assert (out / fname).read_bytes() == (golden / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("what", ["connectivity", "span", "decompose"])
+def test_verify_matches_golden_output(tmp_path, what):
+    # the README's B2 spec (target "all"): report.json and, for decompose,
+    # the certificates, whose cycles cover all seven kinds, byte for byte
+    golden = Path(__file__).parent / "data" / "verify_b2"
+    out = tmp_path / "out"
+    assert main(["verify", what, "--spec", str(golden / "spec.json"),
+                 "--out", str(out)]) == EXIT_OK
+    want = sorted(p.name for p in (golden / what).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == want
+    for fname in want:
+        assert (out / fname).read_bytes() == \
+            (golden / what / fname).read_bytes(), fname
+    if what == "decompose":
+        kinds = {cyc["kind"] for p in out.glob("certificate_*.json")
+                 for entry in json.loads(p.read_text())
+                 for cyc in entry["cycles"]}
+        assert kinds == {"Tr1", "Tr2", "Tr3", "Sq1", "Sq2", "Cyc1", "Cyc2"}
 
 
 # every class of a 12-letter A2~ word
@@ -159,6 +180,26 @@ def test_sweep_span_witness_carries_the_split_vertices(monkeypatch):
     # the first class is the identity's, the square 0000 < ... < 1111
     assert out["witness"][0] == {"dim": 1, "rank": 0, "vertex": "0000",
                                  "split_vertices": ["1111"]}
+
+
+@pytest.mark.parametrize("command", ["graph", "table1"])
+def test_split_link_graph_fails_cleanly(tmp_path, capsys, monkeypatch,
+                                        command):
+    # With no crossing resolved, the Tr/Sq leave link graphs split in
+    # B2, in s t s t s t s and in shorter words that table1 sweeps. The
+    # family is then not certified to span: one error line names the
+    # split vertices, the exit code is 1, and graph writes no file.
+    monkeypatch.setattr(cyclespace, "_resolve_crossing", lambda *args: [])
+    spec = write_spec(tmp_path, type="B2",
+                      expression=["s1", "s2"] * 3 + ["s1"])
+    out = tmp_path / "out"
+    argv = {"graph": ["graph", "--spec", spec, "--out", str(out)],
+            "table1": ["sweep", "table1", "B2", "--max-len", "7"]}[command]
+    assert main(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: link graphs split at \d+ of \d+ vertices:"
+                        r"( [01]+)+\n", err), err
+    assert not out.exists()
 
 
 def test_verify_decompose_writes_replayable_certificates(tmp_path):

@@ -403,8 +403,11 @@ def test_link_pairs_are_the_scan_instances(type_name, max_len):
     # At every vertex the non-crossing pairs of down-edges are the scan's
     # instances anchored there, each met once: a shared index makes a
     # triangle, disjoint or nested folds a square. The link check counts
-    # the same triangles and squares.
+    # the same triangles and squares. The folds the program reads from
+    # the edges are the ones the roots give.
     for g in _graphs_of(type_name, max_len):
+        assert [sorted(down) for down in cyclespace._down_edges(g)] == \
+            [sorted(_down_edges(gamma)) for gamma in g.vertices]
         at = collections.defaultdict(list)     # anchor -> fold pairs at it
         for c in scan_generators(g):
             m = c.anchor_mask
