@@ -141,6 +141,7 @@ def cmd_verify(args) -> int:
     spec = load_spec(args.spec, args)
     _, graphs = _graphs_of(spec)
     out = Path(args.out)                # made only once the build succeeded
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     report = {"command": f"verify {args.what}", "classes": []}
     ok = True
@@ -157,7 +158,16 @@ def cmd_verify(args) -> int:
             certs = []
             entry["ok"] = True
             for fc in cs.fundamental_cycles(g):
-                pieces = cs.decompose(g, fc)
+                try:
+                    pieces = cs.decompose(g, fc)
+                except cs.DecompositionError as exc:
+                    # a failed run leaves none of its certificates behind
+                    for i in range(idx):
+                        (out / f"certificate_{i:03d}.json").unlink()
+                    if made:
+                        out.rmdir()
+                    raise cs.DecompositionError(
+                        f"class {idx}, target edges {fc:b}: {exc}") from None
                 cert = cs.certificate(g, pieces)
                 if not cs.check_certificate(g, cert, fc):
                     entry["ok"] = False

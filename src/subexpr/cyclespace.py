@@ -1,6 +1,7 @@
 """GF(2) cycle-space algebra on subexpression graphs: the triangle and
-square generators, edge moving to special pairs, dihedral-cycle images,
-constructive decomposition of even subgraphs, and spanning verification.
+square generators, dihedral-cycle images, the per-vertex link forests,
+constructive decomposition of even subgraphs along them, and spanning
+verification.
 
 Edge sets are integer bitmasks over the host graph's edge index, so GF(2)
 addition is ``^`` and rank computations are int-based Gaussian elimination.
@@ -192,48 +193,6 @@ def _down_edges(g: SubexprGraph) -> List[List[Tuple[int, int]]]:
     return downs
 
 
-def move_edge(g: SubexprGraph, v: int, pq: Tuple[int, int]):
-    """Move the edge {gamma, f_pq gamma} to a special pair at gamma.
-
-    gamma = g.vertices[v] must be the greater endpoint.  Returns
-    ((i, j), used): a special pair of the same color plus Tr2/Tr3/Sq1
-    cycles anchored at gamma whose sum exchanges the edges; the recursion
-    descends the lexicographic parameter (q, q - p).
-    """
-    gamma = g.vertices[v]
-    rids = gamma.roots
-    p, q = pq
-    used: List[GeneratorCycle] = []
-    while True:
-        alpha = rids[q]
-        if alpha <= 0:
-            raise DecompositionError("anchor is not the greater endpoint")
-        if rids[p] != -alpha:
-            # case 1: the pair opens with +alpha
-            r = max((r for r in range(p) if rids[r] == -alpha), default=None)
-            if r is None:
-                raise DecompositionError("no -alpha position before p (case 1)")
-            used.append(make_triangle(g, gamma, "Tr3", r, p, q))
-            p, q = r, p
-            continue
-        k2 = next((t for t in range(p) if rids[t] == alpha), None)
-        if k2 is not None:
-            # case 2: an earlier +alpha breaks the first-crossing condition
-            r = max((r for r in range(k2) if rids[r] == -alpha), default=None)
-            if r is None:
-                raise DecompositionError("no -alpha position before k (case 2)")
-            used.append(make_square(g, gamma, "Sq1", r, k2, p, q))
-            p, q = r, k2
-            continue
-        k3 = next((t for t in range(p + 1, q) if rids[t] == -alpha), None)
-        if k3 is not None:
-            # case 3: a -alpha strictly inside the pair
-            used.append(make_triangle(g, gamma, "Tr2", p, k3, q))
-            p = k3
-            continue
-        return (p, q), used
-
-
 def _join(g: SubexprGraph, v: int, f1, f2) -> List[GeneratorCycle]:
     """The cycles anchored at vertex v whose sum meets v in just the two
     down-edges with folds f1 and f2: one Tr/Sq unless the folds cross,
@@ -257,8 +216,7 @@ def _join(g: SubexprGraph, v: int, f1, f2) -> List[GeneratorCycle]:
 def _resolve_crossing(g: SubexprGraph, v: int, pair1, pair2):
     gamma = g.vertices[v]
     sys_ = g.expr.system
-    i, k = pair1
-    j, l = pair2
+    (i, k), (j, l) = pair1, pair2
     # one context per system and ordered root pair (lam, mu)
     key = (abs(gamma.roots[j]), abs(gamma.roots[i]))
     ctx = sys_.dihedral_contexts.get(key)
@@ -282,18 +240,132 @@ def _resolve_crossing(g: SubexprGraph, v: int, pair1, pair2):
     return out
 
 
+def _find(parent: List[int], x: int) -> int:
+    """The union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _link_forest(g: SubexprGraph, v: int, down: List[Tuple[int, int]],
+                 cyc: Dict[int, GeneratorCycle]):
+    """A spanning forest of the link graph of gamma = g.vertices[v].
+
+    The nodes of gamma's link graph are its down-edges, the folds in
+    ``down``, which is sorted here by closing index.  Two folds (i, j) and
+    (k, l) that do not cross (no i < k < j < l) are joined: they are the
+    two edges at gamma of the one Tr/Sq that ``_join`` builds for them, a
+    scan instance.  Where the link graph is still split, each two crossing
+    special pairs in different parts are resolved into dihedral Cyc
+    images, each added to ``cyc`` (edge set -> first image), and every
+    image anchored at gamma joins its two edges there.
+
+    If every link graph is connected, the generators span: an even edge
+    set with top vertex gamma meets gamma in evenly many down-edges, and
+    a link path between two of them is a sum of generators anchored at
+    gamma that meets gamma in just those two and touches nothing above.
+    ``decompose`` walks these paths.
+
+    Returns (tree, parts, crossings): the tree edges (a, b, c), positions
+    in ``down`` joined by a Tr/Sq (c None) or by the Cyc image c, the
+    number of parts left and the number of crossing pairs.
+    """
+    n = len(down)
+    down.sort(key=lambda pq: (pq[1], pq[0]))
+    parent = list(range(n))
+    tree = []
+    parts = n
+    crossings = 0
+    for a in range(n):
+        i, j = down[a]
+        for b in range(a + 1, n):
+            k, l = down[b]
+            # down is ordered by closing index, so j <= l
+            if i < k < j < l:
+                crossings += 1
+            elif parts > 1:
+                # _find inlined: this runs for every pair of down-edges
+                x, y = a, b
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[y] = x
+                    parts -= 1
+                    tree.append((a, b, None))
+    if parts == 1:
+        return tree, parts, crossings
+    gamma = g.vertices[v]
+    specials = sorted((pq, a) for a, pq in enumerate(down)
+                      if is_special_pair(gamma, *pq))
+    for z, ((i, k), a) in enumerate(specials):
+        for (j, l), b in specials[z + 1:]:
+            if not i < j < k < l or _find(parent, a) == _find(parent, b):
+                continue
+            for c in _resolve_crossing(g, v, (i, k), (j, l)):
+                cyc.setdefault(c.edges, c)
+                if c.anchor_mask != gamma.mask:
+                    continue
+                # the folds of its two edges at gamma
+                x, y = (down.index(((d & -d).bit_length() - 1,
+                                    d.bit_length() - 1))
+                        for d in (gamma.mask ^ c.vertex_masks[1],
+                                  gamma.mask ^ c.vertex_masks[-1]))
+                rx, ry = _find(parent, x), _find(parent, y)
+                if rx != ry:
+                    parent[ry] = rx
+                    parts -= 1
+                    tree.append((x, y, c))
+    return tree, parts, crossings
+
+
+def _rooted_forest(g: SubexprGraph, v: int):
+    """Vertex v's link forest as ``decompose`` walks it: (folds, eids,
+    parent, gens).  Per node, numbered so that a parent precedes its
+    children: its fold, its edge id and its parent (-1 at a root).  gens
+    maps two nodes to the cycle that joins them: the tree's Cyc images,
+    and each Tr/Sq once it is built."""
+    eid_of = {_edge_positions(g, eid): eid
+              for eid in g.incident[v] if g.edges[eid][1] == v}
+    down = list(eid_of)
+    tree, _, _ = _link_forest(g, v, down, {})
+    near: List[list] = [[] for _ in down]      # tree neighbours
+    for a, b, c in tree:
+        near[a].append((b, c))
+        near[b].append((a, c))
+    folds: List[Tuple[int, int]] = []
+    parent: List[int] = []
+    gens: Dict[Tuple[int, int], GeneratorCycle] = {}
+    pos = [-1] * len(down)
+    for root in range(len(down)):
+        stack = [] if pos[root] >= 0 else [(root, -1, None)]
+        while stack:                           # depth first, in preorder
+            x, p, c = stack.pop()
+            pos[x] = len(folds)
+            folds.append(down[x])
+            parent.append(p)
+            if c is not None:
+                gens[pos[x], p] = c
+            stack += [(y, pos[x], cy) for y, cy in near[x] if pos[y] < 0]
+    return folds, [eid_of[f] for f in folds], parent, gens
+
+
 def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
     """Write an even edge set as a GF(2) sum of generator cycles.
 
-    Induction on the maximal incident vertex: move every residue edge
-    there to a special pair, then cancel the special edges two at a time
-    (single Tr/Sq for shared, disjoint or nested pairs; dihedral-cycle
-    images for crossing pairs).
+    Induction on the maximal incident vertex gamma: its residue edges are
+    down-edges, nodes of its link forest (``_rooted_forest``), and a walk
+    clears them leaves first.  Two odd children of one node whose folds
+    do not cross are joined by the one Tr/Sq of ``_join``; every other
+    odd node moves onto its parent through its tree edge's generator.
+    Each cycle added is anchored at gamma and meets it in just two
+    down-edges, so the sum clears gamma and touches nothing above it.  A
+    root left odd means a split link graph (DecompositionError).
     """
     residue = 0
     deg = [0] * g.n_vertices               # degree of each vertex in residue
     top = g.n_vertices                     # the vertex being cleared
-    positions: Dict[int, Tuple[int, int]] = {}     # edge id -> fold (p, q)
     out: List[GeneratorCycle] = []
 
     def toggle(bits: int):
@@ -311,16 +383,12 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
             b ^= low
         residue ^= bits
 
-    def residue_edges_at(v: int):
-        found = []
-        for eid in g.incident[v]:
-            if residue >> eid & 1:
-                pq = positions.get(eid)
-                if pq is None:
-                    pq = positions[eid] = _edge_positions(g, eid)
-                found.append((pq, eid))
-        found.sort()
-        return found
+    def join(x: int, y: int):              # the cycle that flips nodes x, y
+        c = gens.get((x, y))
+        if c is None:
+            c = gens[x, y] = _join(g, top, folds[x], folds[y])[0]
+        out.append(c)
+        toggle(c.edges)
 
     toggle(even)
     if any(d % 2 for d in deg):
@@ -331,28 +399,33 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
         top -= 1
         while not deg[top]:
             top -= 1
-        v = top
-        gamma = g.vertices[v]
-        while True:
-            at_v = residue_edges_at(v)
-            pq = next((pq for pq, _ in at_v if not is_special_pair(gamma, *pq)),
-                      None)
-            if pq is None:
-                break
-            _, used = move_edge(g, v, pq)
-            for c in used:
-                out.append(c)
-                toggle(c.edges)
-
-        # the last scan found nothing to move: at_v lists the special edges
-        if len(at_v) % 2:
-            raise DecompositionError("odd number of special edges at the top")
-        for (pq1, _), (pq2, _) in zip(at_v[0::2], at_v[1::2]):
-            for c in _join(g, v, pq1, pq2):
-                out.append(c)
-                toggle(c.edges)
-        if deg[v]:
-            raise DecompositionError("top vertex still has residue edges")
+        if g.link_forests[top] is None:
+            g.link_forests[top] = _rooted_forest(g, top)
+        folds, eids, parent, gens = g.link_forests[top]
+        odd = [residue >> e & 1 for e in eids]
+        waiting = [-1] * len(folds)        # per node, an odd child unpaired
+        for x in range(len(folds) - 1, -1, -1):    # children before parents
+            if waiting[x] >= 0:            # the odd child moves onto x
+                join(waiting[x], x)
+                odd[x] ^= 1
+            p = parent[x]
+            if not odd[x] or p < 0:
+                continue
+            y = waiting[p]
+            if y < 0:
+                waiting[p] = x
+                continue
+            (i, k), (j, l) = sorted((folds[x], folds[y]))
+            if i < j < k < l:              # crossing: x moves onto p
+                join(x, p)
+                odd[p] ^= 1
+            else:
+                join(y, x)
+                waiting[p] = -1
+        if deg[top]:                       # a root was left odd
+            raise DecompositionError(
+                f"the walk stopped at vertex {_bit_strings(g, [top])[0]}: "
+                "its link graph is split")
     return out
 
 
@@ -437,41 +510,22 @@ def enumerate_generators(g: SubexprGraph) -> List[GeneratorCycle]:
     return gens
 
 
-def _find(parent: List[int], x: int) -> int:
-    """The union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 def link_check(g: SubexprGraph):
-    """Check at every vertex that its link graph is connected.
+    """Check at every vertex that its link graph (``_link_forest``) is
+    connected; no forest is kept.
 
-    The nodes of gamma's link graph are its down-edges (``_down_edges``).
-    Two folds (i, j) and (k, l) that do not cross (no i < k < j < l) are
-    joined: they are the two edges at gamma of the one Tr/Sq that
-    ``_join`` builds for them, a scan instance.  Where the link graph is
-    still split, each two crossing special pairs in different parts are
-    resolved into dihedral Cyc images, and every image anchored at gamma
-    joins its two edges there.
-
-    If every link graph is connected, the generators span: an even edge
-    set with top vertex gamma meets gamma in evenly many down-edges, and
-    a link path between two of them is a sum of generators anchored at
-    gamma that meets gamma in just those two and touches nothing above.
-    More generally the generators anchored at a vertex with d down-edges
-    in c parts have rank d - c there, and generators with different top
-    vertices are independent, so the sum of d - c over the vertices is
-    a lower bound on the generators' rank.  It equals the cycle-space
-    dimension |E| - |V| + #components exactly when no link graph is
-    split and each component has one vertex without down-edges.
+    The generators anchored at a vertex with d down-edges whose link
+    graph has c parts have rank d - c there, and generators with
+    different top vertices are independent, so the sum of d - c over the
+    vertices is a lower bound on the generators' rank.  It equals the
+    cycle-space dimension |E| - |V| + #components exactly when no link
+    graph is split and each component has one vertex without down-edges.
 
     Returns (triangles, squares, cyc, split, rank): the numbers of Tr and
     Sq instances, the Cyc images the resolutions returned (edge set ->
     first image), the indices of the vertices whose link graph stayed
     split and that lower bound on the rank.
     """
-    verts = g.vertices
     triangles = squares = rank = 0
     cyc: Dict[int, GeneratorCycle] = {}
     split: List[int] = []
@@ -479,29 +533,9 @@ def link_check(g: SubexprGraph):
         n = len(down)
         if n < 2:
             continue
-        down.sort(key=lambda pq: (pq[1], pq[0]))
-        parent = list(range(n))
-        parts = n
-        crossings = 0
-        for a in range(n):
-            i, j = down[a]
-            for b in range(a + 1, n):
-                k, l = down[b]
-                # down is ordered by closing index, so j <= l
-                if i < k < j < l:
-                    crossings += 1
-                elif parts > 1:
-                    # _find inlined: this runs for every pair of down-edges
-                    x, y = a, b
-                    while parent[x] != x:
-                        parent[x] = x = parent[parent[x]]
-                    while parent[y] != y:
-                        parent[y] = y = parent[parent[y]]
-                    if x != y:
-                        parent[y] = x
-                        parts -= 1
+        _, parts, crossings = _link_forest(g, v, down, cyc)
         # two distinct folds share at most one index
-        deg = [0] * len(verts[v].roots)
+        deg = [0] * len(g.vertices[v].roots)
         for p, q in down:
             deg[p] += 1
             deg[q] += 1
@@ -509,39 +543,9 @@ def link_check(g: SubexprGraph):
         triangles += shared
         squares += n * (n - 1) // 2 - crossings - shared
         if parts > 1:
-            parts = _join_crossings(g, v, down, parent, parts, cyc)
-            if parts > 1:
-                split.append(v)
+            split.append(v)
         rank += n - parts
     return triangles, squares, cyc, split, rank
-
-
-def _join_crossings(g: SubexprGraph, v: int, down, parent, parts: int,
-                    cyc: Dict[int, GeneratorCycle]) -> int:
-    """Join gamma's link graph across crossing special pairs, from the
-    Cyc images that resolve them; returns the number of parts left."""
-    gamma = g.vertices[v]
-    specials = sorted(pq for pq in down if is_special_pair(gamma, *pq))
-    for a, (i, k) in enumerate(specials):
-        for j, l in specials[a + 1:]:
-            if not (i < j < k < l) or (_find(parent, down.index((i, k)))
-                                       == _find(parent, down.index((j, l)))):
-                continue
-            for c in _resolve_crossing(g, v, (i, k), (j, l)):
-                cyc.setdefault(c.edges, c)
-                if c.anchor_mask != gamma.mask:
-                    continue
-                # the folds of its two edges at gamma
-                x, y = (_find(parent, down.index(
-                            ((d & -d).bit_length() - 1, d.bit_length() - 1)))
-                        for d in (gamma.mask ^ c.vertex_masks[1],
-                                  gamma.mask ^ c.vertex_masks[-1]))
-                if x != y:
-                    parent[y] = x
-                    parts -= 1
-            if parts == 1:
-                return 1
-    return parts
 
 
 def verify_span(g: SubexprGraph) -> dict:

@@ -311,7 +311,7 @@ class _BuiltOnFirstUse:
 class SubexprGraph:
     """The graph Sub(s,w): vertices sorted ascending, indexed edges.
 
-    edge_index and incident are built on first use.
+    edge_index, incident and link_forests are built on first use.
     """
 
     expr: Expression
@@ -331,6 +331,10 @@ class SubexprGraph:
             incident[a].append(k)
             incident[b].append(k)
         return incident
+
+    @_BuiltOnFirstUse
+    def link_forests(self) -> list:        # filled in by cyclespace.decompose
+        return [None] * len(self.vertices)
 
     @property
     def n_vertices(self):
@@ -416,21 +420,13 @@ def _graph_from_records(expr: Expression, eid: int, records) -> SubexprGraph:
         row = []
         mask = v.mask
         for bq, rid in zip(bit, v.roots):
+            seen = groups.get(abs(rid))
+            if seen is None:
+                groups[abs(rid)] = [bq]
+                continue
             if rid < 0:
-                rid = -rid
-                seen = groups.get(rid)
-                if seen is None:
-                    groups[rid] = [bq]
-                    continue
-                mq = mask ^ bq
-                row.extend([(i, vidx[mq ^ bp], rid) for bp in seen])
-                seen.append(bq)
-            else:
-                seen = groups.get(rid)
-                if seen is None:
-                    groups[rid] = [bq]
-                else:
-                    seen.append(bq)
+                row.extend([(i, vidx[mask ^ bq ^ bp], -rid) for bp in seen])
+            seen.append(bq)
         row.sort()
         edges.extend(row)
     return SubexprGraph(expr, eid, verts, edges, vidx)

@@ -6,6 +6,7 @@ import pytest
 
 from subexpr import coxeter, cyclespace, sweeps
 from subexpr.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from subexpr.expressions import Expression, build_all_graphs
 
 
 def write_spec(tmp_path, name="spec.json", **data):
@@ -67,7 +68,7 @@ def test_graph_matches_golden_output(tmp_path, name):
 @pytest.mark.parametrize("what", ["connectivity", "span", "decompose"])
 def test_verify_matches_golden_output(tmp_path, what):
     # the README's B2 spec (target "all"): report.json and, for decompose,
-    # the certificates, whose cycles cover all seven kinds, byte for byte
+    # the certificates, byte for byte
     golden = Path(__file__).parent / "data" / "verify_b2"
     out = tmp_path / "out"
     assert main(["verify", what, "--spec", str(golden / "spec.json"),
@@ -77,11 +78,26 @@ def test_verify_matches_golden_output(tmp_path, what):
     for fname in want:
         assert (out / fname).read_bytes() == \
             (golden / what / fname).read_bytes(), fname
-    if what == "decompose":
-        kinds = {cyc["kind"] for p in out.glob("certificate_*.json")
-                 for entry in json.loads(p.read_text())
-                 for cyc in entry["cycles"]}
-        assert kinds == {"Tr1", "Tr2", "Tr3", "Sq1", "Sq2", "Cyc1", "Cyc2"}
+
+
+def test_verify_decompose_uses_every_kind(tmp_path):
+    # B2 s t s t s t s (target "all"): every certificate replays on its
+    # class, and their cycles cover all seven kinds
+    word = ["s1", "s2"] * 3 + ["s1"]
+    spec = write_spec(tmp_path, type="B2", expression=word)
+    out = tmp_path / "v"
+    assert main(["verify", "decompose", "--spec", spec,
+                 "--out", str(out)]) == EXIT_OK
+    graphs = build_all_graphs(Expression(coxeter.named_system("B2"),
+                                         (0, 1) * 3 + (0,)))
+    kinds = set()
+    for idx, g in enumerate(graphs):
+        for entry in json.loads((out / f"certificate_{idx:03d}.json")
+                                .read_text()):
+            assert cyclespace.check_certificate(
+                g, entry["cycles"], int(entry["target_edges"], 2))
+            kinds.update(cyc["kind"] for cyc in entry["cycles"])
+    assert kinds == {"Tr1", "Tr2", "Tr3", "Sq1", "Sq2", "Cyc1", "Cyc2"}
 
 
 # every class of a 12-letter A2~ word
@@ -200,6 +216,31 @@ def test_split_link_graph_fails_cleanly(tmp_path, capsys, monkeypatch,
     assert re.fullmatch(r"error: link graphs split at \d+ of \d+ vertices:"
                         r"( [01]+)+\n", err), err
     assert not out.exists()
+
+
+def test_failed_decompose_names_its_witness(tmp_path, capsys, monkeypatch):
+    # With no crossing resolved, decompose stops at a vertex whose link
+    # graph is split. One error line names the class, the target cycle's
+    # edges and that vertex, the exit code is 1, and the certificates of
+    # the classes before it are removed with the output directory.
+    monkeypatch.setattr(cyclespace, "_resolve_crossing", lambda *args: [])
+    spec = Path(__file__).parent / "data" / "verify_b2" / "spec.json"
+    out = tmp_path / "out"
+    assert main(["verify", "decompose", "--spec", str(spec),
+                 "--out", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    m = re.fullmatch(r"error: class (\d+), target edges ([01]+): the walk "
+                     r"stopped at vertex ([01]+): its link graph is split\n",
+                     err)
+    assert m, err
+    assert not out.exists()
+    idx, target, vertex = int(m[1]), int(m[2], 2), m[3]
+    system = coxeter.named_system("B2")
+    graphs = build_all_graphs(Expression(system, (0, 1) * 3))
+    assert idx > 0                  # earlier classes wrote certificates
+    g = graphs[idx]
+    assert target in cyclespace.fundamental_cycles(g)
+    assert vertex in cyclespace._bit_strings(g, cyclespace.link_check(g)[3])
 
 
 def test_verify_decompose_writes_replayable_certificates(tmp_path):

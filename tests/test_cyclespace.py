@@ -13,7 +13,7 @@ from subexpr.cyclespace import (ConditionViolated, DecompositionError,
                                 check_certificate, cycle_space_dim, decompose,
                                 enumerate_generators, fundamental_cycles,
                                 gf2_rank, link_check, make_square,
-                                make_triangle, min_length_basis, move_edge,
+                                make_triangle, min_length_basis,
                                 scan_generators, verify_span)
 from subexpr.expressions import (Expression, SubexprGraph, build_all_graphs,
                                  build_graph, is_special_pair, order_compare,
@@ -194,29 +194,22 @@ def test_scan_triangles_match_every_kind_tried(b2_graphs, g2_graphs):
             sorted(want.values(), key=lambda c: c.edges)
 
 
-def test_move_edge_exhaustive_small(b2):
-    expr = Expression(b2, (0, 1, 0, 1, 0, 1))
+@pytest.mark.parametrize("length", [6, 7])
+def test_decompose_each_generator(b2, length):
+    # every Tr/Sq/Cyc of the family, given to decompose, sums back to its
+    # edge set, and no cycle of the sum is anchored above its own anchor
+    kinds = set()
+    expr = Expression(b2, tuple(z % 2 for z in range(length)))
     for g in build_all_graphs(expr):
-        for eid, (a, b, _) in enumerate(g.edges):
-            v = max(a, b)
-            gamma = g.vertices[v]
-            diff = g.vertices[a].mask ^ g.vertices[b].mask
-            p = (diff & -diff).bit_length() - 1
-            q = diff.bit_length() - 1
-            if gamma.roots[q] <= 0:
-                continue               # v is not the greater endpoint
-            (i, j), used = move_edge(g, v, (p, q))
-            assert is_special_pair(gamma, i, j)
-            if (i, j) == (p, q):
-                assert used == []
-                continue
-            # at v, the used cycles toggle exactly {original, special}
-            at_v = 0
-            for c in used:
-                at_v ^= c.edges & sum(1 << e for e in g.incident[v])
-            other = g.vertex_index[gamma.mask ^ (1 << i) ^ (1 << j)]
-            special_eid = g.edge_id(v, other)
-            assert at_v == (1 << eid) | (1 << special_eid)
+        for c in enumerate_generators(g):
+            kinds.add(c.kind)
+            top = g.vertex_index[c.anchor_mask]
+            total = 0
+            for piece in decompose(g, c.edges):
+                total ^= piece.edges
+                assert g.vertex_index[piece.anchor_mask] <= top
+            assert total == c.edges
+    assert kinds == {"Tr1", "Tr2", "Tr3", "Sq1", "Sq2", "Cyc1", "Cyc2"}
 
 
 def test_decompose_empty_and_not_even(b2_graphs):
@@ -634,9 +627,13 @@ def test_dihedral_context_cache(type_name, monkeypatch):
         assert ctx.xi == fresh.xi
         assert np.array_equal(ctx.pair.alpha, fresh.pair.alpha)
         assert np.array_equal(ctx.pair.beta, fresh.pair.beta)
+    warm_built = len(keys)
     cold = []
     for g, fc in items:
-        table.clear()                      # every decomposition starts cold
+        table.clear()                      # every decomposition starts cold,
+        del g.link_forests                 # with no Cyc image kept either
         cold.append(decompose(g, fc))
     assert cold == warm
+    # each context the warm pass built once is built again in the cold pass
+    assert len(keys) - warm_built >= warm_built
     assert any(c.kind.startswith("Cyc") for cycles in warm for c in cycles)
