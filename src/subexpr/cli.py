@@ -145,7 +145,9 @@ def cmd_verify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = {"command": f"verify {args.what}", "classes": []}
     ok = True
-    for idx, g in enumerate(graphs):
+    for idx in range(len(graphs)):
+        # a class is dropped, with its edges and forests, once it is done
+        g, graphs[idx] = graphs[idx], None
         entry = {"index": idx, "n_vertices": g.n_vertices,
                  "n_edges": g.n_edges}
         if args.what == "connectivity":

@@ -326,8 +326,9 @@ def _rooted_forest(g: SubexprGraph, v: int):
     children: its fold, its edge id and its parent (-1 at a root).  gens
     maps two nodes to the cycle that joins them: the tree's Cyc images,
     and each Tr/Sq once it is built."""
+    edges = g.edges
     eid_of = {_edge_positions(g, eid): eid
-              for eid in g.incident[v] if g.edges[eid][1] == v}
+              for eid in g.incident[v] if edges[eid][1] == v}
     down = list(eid_of)
     tree, _, _ = _link_forest(g, v, down, {})
     near: List[list] = [[] for _ in down]      # tree neighbours
@@ -363,6 +364,7 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
     down-edges, so the sum clears gamma and touches nothing above it.  A
     root left odd means a split link graph (DecompositionError).
     """
+    edges = g.edges                        # a local: toggle reads it per edge
     residue = 0
     deg = [0] * g.n_vertices               # degree of each vertex in residue
     top = g.n_vertices                     # the vertex being cleared
@@ -374,7 +376,7 @@ def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
         while b:
             low = b & -b
             eid = low.bit_length() - 1
-            a, c, _ = g.edges[eid]         # a < c
+            a, c, _ = edges[eid]           # a < c
             if c > top:
                 raise DecompositionError("maximal incident vertex did not decrease")
             d = 1 if not (residue >> eid & 1) else -1
@@ -460,6 +462,7 @@ def scan_generators(g: SubexprGraph) -> List[GeneratorCycle]:
 
 def fundamental_cycles(g: SubexprGraph) -> List[int]:
     """Edge masks of the fundamental cycles of a BFS spanning forest."""
+    edges, incident = g.edges, g.incident
     path = [0] * g.n_vertices              # edge mask of the tree path to root
     seen = [False] * g.n_vertices
     tree = 0
@@ -471,15 +474,15 @@ def fundamental_cycles(g: SubexprGraph) -> List[int]:
         queue = [root]
         while queue:
             v = queue.pop()
-            for eid in g.incident[v]:
-                a, b, _ = g.edges[eid]
+            for eid in incident[v]:
+                a, b, _ = edges[eid]
                 u = b if a == v else a
                 if not seen[u]:
                     seen[u] = True
                     path[u] = path[v] ^ (1 << eid)
                     tree |= 1 << eid
                     queue.append(u)
-    for eid, (a, b, _) in enumerate(g.edges):
+    for eid, (a, b, _) in enumerate(edges):
         if not (tree >> eid & 1):
             out.append(path[a] ^ path[b] ^ (1 << eid))
     return out

@@ -311,14 +311,43 @@ class _BuiltOnFirstUse:
 class SubexprGraph:
     """The graph Sub(s,w): vertices sorted ascending, indexed edges.
 
-    edge_index, incident and link_forests are built on first use.
+    A down-fold of a vertex is a fold (p, q), p < q, with |r_p| = r_q > 0:
+    it leads to a lower vertex, and each edge is a down-fold of its
+    greater end.  So n_edges is the sum of the vertices' down-fold counts,
+    and n_minima counts the vertices without one.  edges, edge_index,
+    incident and link_forests are built on first use.
     """
 
     expr: Expression
     target_eid: int
     vertices: List[Subexpression]
-    edges: List[Tuple[int, int, int]]          # (a, b, color rid), a < b
     vertex_index: Dict[int, int]               # mask -> idx
+    n_edges: int
+    n_minima: int
+
+    @_BuiltOnFirstUse
+    def edges(self) -> List[Tuple[int, int, int]]:     # (a, b, color rid), a < b
+        # The fold at (p, q), p < q, leads to a greater vertex exactly when
+        # the root at q is negative, so each edge is emitted once, from its
+        # lower end, and the rows come out in ascending (a, b) order.
+        bit = [1 << q for q in range(len(self.expr))]
+        vidx = self.vertex_index
+        edges = []
+        for i, v in enumerate(self.vertices):
+            groups: Dict[int, List[int]] = {}      # |root| -> bits of its positions
+            row = []
+            mask = v.mask
+            for bq, rid in zip(bit, v.roots):
+                seen = groups.get(abs(rid))
+                if seen is None:
+                    groups[abs(rid)] = [bq]
+                    continue
+                if rid < 0:
+                    row.extend([(i, vidx[mask ^ bq ^ bp], -rid) for bp in seen])
+                seen.append(bq)
+            row.sort()
+            edges.extend(row)
+        return edges
 
     @_BuiltOnFirstUse
     def edge_index(self) -> Dict[Tuple[int, int], int]:
@@ -339,10 +368,6 @@ class SubexprGraph:
     @property
     def n_vertices(self):
         return len(self.vertices)
-
-    @property
-    def n_edges(self):
-        return len(self.edges)
 
     def edge_id(self, a: int, b: int) -> int:
         return self.edge_index[(a, b) if a < b else (b, a)]
@@ -373,6 +398,11 @@ class SubexprGraph:
         return lab
 
     def n_components(self) -> int:
+        # Down-folds lead strictly down, so a chain of them from any vertex
+        # ends at a vertex without one: if just one vertex has none, every
+        # vertex reaches it, and no edge need be built to know it.
+        if self.n_minima == 1:
+            return 1
         lab = self.components()
         return (max(lab) + 1) if lab else 0
 
@@ -398,38 +428,32 @@ def _graph_from_records(expr: Expression, eid: int, records) -> SubexprGraph:
     # Two vertices of a class agree after their last differing position i,
     # so their roots after i are equal and their roots at i are opposite:
     # order_compare is the comparison of the integers whose bit q is the
-    # sign of the root at q, and no two vertices of a class tie.
+    # sign of the root at q, and no two vertices of a class tie.  The same
+    # pass counts each record's down-folds: per positive root at q, the
+    # earlier positions holding it up to sign.
     bit = [1 << q for q in range(len(expr))]
     keyed = []
+    n_edges = n_minima = 0
     for rec in records:
         key = 0
+        down = 0
+        seen = []                              # |root| at each position so far
         for bq, rid in zip(bit, rec[2]):
             if rid > 0:
                 key |= bq
+                down += seen.count(rid)
+                seen.append(rid)
+            else:
+                seen.append(-rid)
+        n_edges += down
+        if not down:
+            n_minima += 1
         keyed.append((key, rec))
     keyed.sort(key=lambda kr: kr[0])
     verts = [Subexpression.from_record(expr, mask, pids, rids)
              for _, (mask, pids, rids) in keyed]
     vidx = {v.mask: i for i, v in enumerate(verts)}
-    # The fold at (p, q), p < q, leads to a greater vertex exactly when
-    # the root at q is negative, so each edge is emitted once, from its
-    # lower end, and the rows come out in ascending (a, b) order.
-    edges = []
-    for i, v in enumerate(verts):
-        groups: Dict[int, List[int]] = {}      # |root| -> bits of its positions
-        row = []
-        mask = v.mask
-        for bq, rid in zip(bit, v.roots):
-            seen = groups.get(abs(rid))
-            if seen is None:
-                groups[abs(rid)] = [bq]
-                continue
-            if rid < 0:
-                row.extend([(i, vidx[mask ^ bq ^ bp], -rid) for bp in seen])
-            seen.append(bq)
-        row.sort()
-        edges.extend(row)
-    return SubexprGraph(expr, eid, verts, edges, vidx)
+    return SubexprGraph(expr, eid, verts, vidx, n_edges, n_minima)
 
 
 def build_graph(expr: Expression, w: Element) -> SubexprGraph:

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import words_up_to
+from conftest import graph_with_edges, words_up_to
 
 from subexpr import cyclespace, dihedral, sweeps
 from subexpr.coxeter import named_system
@@ -15,8 +15,8 @@ from subexpr.cyclespace import (ConditionViolated, DecompositionError,
                                 gf2_rank, link_check, make_square,
                                 make_triangle, min_length_basis,
                                 scan_generators, verify_span)
-from subexpr.expressions import (Expression, SubexprGraph, build_all_graphs,
-                                 build_graph, is_special_pair, order_compare,
+from subexpr.expressions import (Expression, build_all_graphs, build_graph,
+                                 is_connected, is_special_pair, order_compare,
                                  subexpr_from_mask)
 
 
@@ -250,6 +250,19 @@ def test_verify_span_and_lengths(b2_graphs, g2_graphs):
             rep = verify_span(g)
             assert rep["ok"], rep
             assert set(rep["lengths"]) <= {3, 4, n + 2}
+
+
+def test_counts_need_no_edges_and_the_span_check_reads_them():
+    # |E|, connectivity and the dimension come from the assembly's counts;
+    # the span verdict reads the graph's edges
+    a2t = named_system("A2~")
+    expr = Expression(a2t, (1, 2, 1, 0, 1, 0, 1, 2, 1, 2, 0, 2))
+    g = build_graph(expr, a2t.identity())
+    assert g.n_edges > 0 and is_connected(g) and cycle_space_dim(g) > 0
+    assert "edges" not in vars(g)
+    rep = verify_span(g)
+    assert "edges" in vars(g)
+    assert rep["ok"] and rep["n_edges"] == len(g.edges)
 
 
 def test_min_length_basis_is_a_basis(g2_graphs):
@@ -487,7 +500,7 @@ def test_link_check_reads_the_graph_edges(b2_graphs):
     g = max(b2_graphs, key=cycle_space_dim)
     top = g.n_vertices - 1
     kept = [e for e in g.edges if e[1] != top]
-    h = SubexprGraph(g.expr, g.target_eid, g.vertices, kept, g.vertex_index)
+    h = graph_with_edges(g, kept)
     assert link_check(h)[4] == link_check(g)[4] - (g.n_edges - len(kept) - 1)
 
     def fold_at(a, b):
@@ -500,8 +513,7 @@ def test_link_check_reads_the_graph_edges(b2_graphs):
                if fold_at(a, b))
     a, b, color = g.edges[0]
     for bad in (far, (b, a, color)):
-        h = SubexprGraph(g.expr, g.target_eid, g.vertices,
-                         sorted(g.edges + [bad]), g.vertex_index)
+        h = graph_with_edges(g, sorted(g.edges + [bad]))
         with pytest.raises(ConditionViolated):
             link_check(h)
 

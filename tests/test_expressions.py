@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from subexpr.coxeter import elements_equal, named_system, new_system
 from subexpr.expressions import (DifferentTargets, Expression, IndexOutOfRange,
                                  NotApplicable, NotRealized, Subexpression,
-                                 SubexprGraph, TooLarge, build_all_graphs,
+                                 TooLarge, build_all_graphs,
                                  build_graph,
                                  descend_step, double_fold,
                                  double_fold_applicable, gallery_of,
@@ -16,7 +16,7 @@ from subexpr.expressions import (DifferentTargets, Expression, IndexOutOfRange,
                                  special_pairs, subexpr_classes,
                                  subexpr_from_mask, target)
 
-from conftest import words_up_to
+from conftest import graph_with_edges, words_up_to
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +302,9 @@ def test_assembly_matches_reference():
             assert g.edge_index == edge_index
             assert g.incident == incident
             assert g.components() == _reference_components(len(verts), edges)
+            # the counts taken in the assembly pass, against the edges
+            assert g.n_edges == len(g.edges)
+            assert g.n_components() == len(set(g.components()))
             assert g.to_dot() == _reference_dot(expr, verts, edges)
             n_classes += 1
     assert n_classes == 18355 + 72
@@ -318,10 +321,10 @@ def test_components_match_bfs_with_edges_dropped(b2):
     for g in graphs:
         for keep in (0.0, 0.05, 0.3, 0.7, 0.95):
             edges = [e for e in g.edges if rng.random() < keep]
-            h = SubexprGraph(g.expr, g.target_eid, g.vertices, edges,
-                             g.vertex_index)
+            h = graph_with_edges(g, edges)
             want = _reference_components(h.n_vertices, edges)
             assert h.components() == want
+            assert h.n_components() == max(want) + 1
             n_split += max(want) > 0
             ends = {x for a, b, _ in edges for x in (a, b)}
             n_isolated += len(ends) < h.n_vertices
