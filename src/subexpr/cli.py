@@ -120,7 +120,7 @@ def _stats(g) -> dict:
             "components": components,
             "dim": g.n_edges - g.n_vertices + components,
             "lengths": sorted([3] * triangles + [4] * squares
-                              + [c.length for c in cyc.values()])}
+                              + [len(masks) for _, _, masks in cyc.values()])}
 
 
 def cmd_graph(args) -> int:

@@ -88,22 +88,41 @@ class GeneratorCycle:
                 "vertices": [format(m, "b") for m in self.vertex_masks]}
 
 
-def _cycle_from_masks(g: SubexprGraph, kind: str, indices, masks) -> GeneratorCycle:
-    """Validate a closed mask path against the graph and package it."""
+def _closed_path(g: SubexprGraph, kind: str, indices, masks) -> List[int]:
+    """Check a closed mask path against the graph and return its vertex
+    ids: every mask is a vertex, none repeats, each two consecutive masks
+    (the last and the first too) differ in exactly two bits, which makes
+    them an edge of Sub(s,w), and the first is strictly maximal."""
+    vidx = g.vertex_index
     try:
-        vids = [g.vertex_index[m] for m in masks]
+        vids = [vidx[m] for m in masks]
     except KeyError as exc:
         raise ConditionViolated(f"{kind}{tuple(indices)}: vertex {exc} missing")
     if len(set(vids)) != len(vids):
         raise ConditionViolated(f"{kind}{tuple(indices)}: repeated vertex")
-    edges = 0
-    for a, b in zip(vids, vids[1:] + vids[:1]):
-        try:
-            edges |= 1 << g.edge_id(a, b)
-        except KeyError:
+    a = masks[-1]
+    for b in masks:
+        if (a ^ b).bit_count() != 2:
             raise ConditionViolated(f"{kind}{tuple(indices)}: missing edge")
+        a = b
     if max(vids) != vids[0]:
         raise ConditionViolated(f"{kind}{tuple(indices)}: anchor is not maximal")
+    return vids
+
+
+def _cycle_from_masks(g: SubexprGraph, kind: str, indices, masks) -> GeneratorCycle:
+    """Check a closed mask path (``_closed_path``) and package it with its
+    edge-id bits."""
+    vids = _closed_path(g, kind, indices, masks)
+    index = g.edge_index                       # read once, not per edge
+    edges = 0
+    a = vids[-1]
+    for b in vids:
+        try:
+            edges |= 1 << index[(a, b) if a < b else (b, a)]
+        except KeyError:
+            raise ConditionViolated(f"{kind}{tuple(indices)}: missing edge")
+        a = b
     return GeneratorCycle(kind, masks[0], tuple(indices), tuple(masks), edges)
 
 
@@ -160,37 +179,34 @@ def cycle_space_dim(g: SubexprGraph) -> int:
     return g.n_edges - g.n_vertices + g.n_components()
 
 
-def _edge_positions(g: SubexprGraph, eid: int) -> Tuple[int, int]:
-    """The fold positions (p, q) of an edge, read from the mask difference."""
-    a, b, _ = g.edges[eid]
-    diff = g.vertices[a].mask ^ g.vertices[b].mask
-    p = (diff & -diff).bit_length() - 1
-    q = diff.bit_length() - 1
-    return p, q
+def _down_folds(gamma: Subexpression) -> List[Tuple[int, int]]:
+    """gamma's down-folds, read from its roots: per position q with
+    r_q > 0, the folds (p, q) with p < q and |r_p| = r_q.  They come in
+    (q, p) order, by closing index and then by opening index, which
+    ``_link_forest`` relies on."""
+    folds: List[Tuple[int, int]] = []
+    at: Dict[int, List[int]] = {}              # |root| -> its positions so far
+    for q, rid in enumerate(gamma.roots):
+        if rid > 0:
+            ps = at.get(rid)
+            if ps is None:
+                at[rid] = [q]
+                continue
+            for p in ps:
+                folds.append((p, q))
+        else:
+            ps = at.get(-rid)
+            if ps is None:
+                at[-rid] = [q]
+                continue
+        ps.append(q)
+    return folds
 
 
-def _down_edges(g: SubexprGraph) -> List[List[Tuple[int, int]]]:
-    """Each vertex's down-edges, read from the graph's edges as folds.
-
-    An edge is a down-edge of its greater end gamma, read as its fold
-    (p, q), p < q, which must flip just bits p and q and have
-    |r_p| = r_q > 0 at gamma (ConditionViolated otherwise)."""
-    verts = g.vertices
-    downs: List[List[Tuple[int, int]]] = [[] for _ in verts]
-    folds: Dict[int, Tuple[int, int]] = {}     # mask difference -> its fold
-    for eid, (a, b, _) in enumerate(g.edges):
-        gamma = verts[b]
-        diff = verts[a].mask ^ gamma.mask
-        pq = folds.get(diff)
-        if pq is None:
-            pq = folds[diff] = _edge_positions(g, eid)
-        p, q = pq
-        if (diff != 1 << p | 1 << q
-                or not abs(gamma.roots[p]) == gamma.roots[q] > 0):
-            raise ConditionViolated(
-                f"edge {eid} is not a down-edge of vertex {b}")
-        downs[b].append(pq)
-    return downs
+def _edge_pairs(masks: Sequence[int]) -> frozenset:
+    """The edge set of a closed mask path, as (min mask, max mask) pairs."""
+    return frozenset((a, b) if a < b else (b, a)
+                     for a, b in zip(masks, masks[1:] + masks[:1]))
 
 
 def _join(g: SubexprGraph, v: int, f1, f2) -> List[GeneratorCycle]:
@@ -210,10 +226,13 @@ def _join(g: SubexprGraph, v: int, f1, f2) -> List[GeneratorCycle]:
     if l < k:                                          # nested: (i,k) over (j,l)
         return [make_square(g, gamma, "Sq2", i, j, l, k)]
     # crossing: i < j < k < l -- the dihedral reduction
-    return _resolve_crossing(g, v, (i, k), (j, l))
+    return [_cycle_from_masks(g, *path)
+            for path in _resolve_crossing(g, v, (i, k), (j, l))]
 
 
 def _resolve_crossing(g: SubexprGraph, v: int, pair1, pair2):
+    """The dihedral Cyc images that resolve two crossing special pairs at
+    vertex v, as checked mask paths (kind, indices, masks)."""
     gamma = g.vertices[v]
     sys_ = g.expr.system
     (i, k), (j, l) = pair1, pair2
@@ -235,8 +254,10 @@ def _resolve_crossing(g: SubexprGraph, v: int, pair1, pair2):
     small, _resid, _cfg = dihedral.reduce_special_vertex(pi, (ii, kk), (jj, ll))
     out = []
     for kind, x, y, masks in small:
-        big = [morph.apply_mask(m) for m in masks]
-        out.append(_cycle_from_masks(g, kind, (i, j, k, l, x, y), big))
+        big = tuple(morph.apply_mask(m) for m in masks)
+        indices = (i, j, k, l, x, y)
+        _closed_path(g, kind, indices, big)
+        out.append((kind, indices, big))
     return out
 
 
@@ -248,17 +269,18 @@ def _find(parent: List[int], x: int) -> int:
 
 
 def _link_forest(g: SubexprGraph, v: int, down: List[Tuple[int, int]],
-                 cyc: Dict[int, GeneratorCycle]):
+                 cyc: Dict[frozenset, tuple]):
     """A spanning forest of the link graph of gamma = g.vertices[v].
 
     The nodes of gamma's link graph are its down-edges, the folds in
-    ``down``, which is sorted here by closing index.  Two folds (i, j) and
+    ``down``, in the (q, p) order of ``_down_folds``.  Two folds (i, j) and
     (k, l) that do not cross (no i < k < j < l) are joined: they are the
     two edges at gamma of the one Tr/Sq that ``_join`` builds for them, a
     scan instance.  Where the link graph is still split, each two crossing
     special pairs in different parts are resolved into dihedral Cyc
-    images, each added to ``cyc`` (edge set -> first image), and every
-    image anchored at gamma joins its two edges there.
+    images, mask paths (kind, indices, masks), each added to ``cyc``
+    (``_edge_pairs`` of its masks -> first image), and every image
+    anchored at gamma joins its two edges there.
 
     If every link graph is connected, the generators span: an even edge
     set with top vertex gamma meets gamma in evenly many down-edges, and
@@ -271,7 +293,6 @@ def _link_forest(g: SubexprGraph, v: int, down: List[Tuple[int, int]],
     number of parts left and the number of crossing pairs.
     """
     n = len(down)
-    down.sort(key=lambda pq: (pq[1], pq[0]))
     parent = list(range(n))
     tree = []
     parts = n
@@ -304,14 +325,15 @@ def _link_forest(g: SubexprGraph, v: int, down: List[Tuple[int, int]],
             if not i < j < k < l or _find(parent, a) == _find(parent, b):
                 continue
             for c in _resolve_crossing(g, v, (i, k), (j, l)):
-                cyc.setdefault(c.edges, c)
-                if c.anchor_mask != gamma.mask:
+                masks = c[2]
+                cyc.setdefault(_edge_pairs(masks), c)
+                if masks[0] != gamma.mask:
                     continue
                 # the folds of its two edges at gamma
                 x, y = (down.index(((d & -d).bit_length() - 1,
                                     d.bit_length() - 1))
-                        for d in (gamma.mask ^ c.vertex_masks[1],
-                                  gamma.mask ^ c.vertex_masks[-1]))
+                        for d in (gamma.mask ^ masks[1],
+                                  gamma.mask ^ masks[-1]))
                 rx, ry = _find(parent, x), _find(parent, y)
                 if rx != ry:
                     parent[ry] = rx
@@ -326,10 +348,7 @@ def _rooted_forest(g: SubexprGraph, v: int):
     children: its fold, its edge id and its parent (-1 at a root).  gens
     maps two nodes to the cycle that joins them: the tree's Cyc images,
     and each Tr/Sq once it is built."""
-    edges = g.edges
-    eid_of = {_edge_positions(g, eid): eid
-              for eid in g.incident[v] if edges[eid][1] == v}
-    down = list(eid_of)
+    down = _down_folds(g.vertices[v])
     tree, _, _ = _link_forest(g, v, down, {})
     near: List[list] = [[] for _ in down]      # tree neighbours
     for a, b, c in tree:
@@ -347,9 +366,12 @@ def _rooted_forest(g: SubexprGraph, v: int):
             folds.append(down[x])
             parent.append(p)
             if c is not None:
-                gens[pos[x], p] = c
+                gens[pos[x], p] = _cycle_from_masks(g, *c)
             stack += [(y, pos[x], cy) for y, cy in near[x] if pos[y] < 0]
-    return folds, [eid_of[f] for f in folds], parent, gens
+    # each fold leads down to a vertex a < v, the edge (a, v)
+    vidx, index, mask = g.vertex_index, g.edge_index, g.vertices[v].mask
+    eids = [index[vidx[mask ^ (1 << p) ^ (1 << q)], v] for p, q in folds]
+    return folds, eids, parent, gens
 
 
 def decompose(g: SubexprGraph, even: int) -> List[GeneratorCycle]:
@@ -449,11 +471,11 @@ def scan_generators(g: SubexprGraph) -> List[GeneratorCycle]:
     fixed by its anchor, kind and indices, and no two share an edge set.
     """
     out: List[GeneratorCycle] = []
-    for v, down in enumerate(_down_edges(g)):
-        down.sort()
+    for v, gamma in enumerate(g.vertices):
+        down = _down_folds(gamma)
         for a, (i, j) in enumerate(down):
             for k, l in down[a + 1:]:
-                # down is in tuple order, so i <= k
+                # down is ordered by closing index, so j <= l
                 if not i < k < j < l:
                     out += _join(g, v, (i, j), (k, l))
     out.sort(key=_generator_order)
@@ -509,7 +531,8 @@ def enumerate_generators(g: SubexprGraph) -> List[GeneratorCycle]:
     raise_if_split(g, split)
     gens = scan_generators(g)
     if cyc:
-        gens = sorted(gens + list(cyc.values()), key=_generator_order)
+        gens = sorted(gens + [_cycle_from_masks(g, *c) for c in cyc.values()],
+                      key=_generator_order)
     return gens
 
 
@@ -524,21 +547,26 @@ def link_check(g: SubexprGraph):
     cycle-space dimension |E| - |V| + #components exactly when no link
     graph is split and each component has one vertex without down-edges.
 
+    The down-edges are read from each vertex's roots (``_down_folds``),
+    and the Cyc images are kept as mask paths, so no edge list is built.
+
     Returns (triangles, squares, cyc, split, rank): the numbers of Tr and
-    Sq instances, the Cyc images the resolutions returned (edge set ->
-    first image), the indices of the vertices whose link graph stayed
+    Sq instances, the Cyc images the resolutions returned as mask paths
+    (kind, indices, masks), keyed by their edge sets (``_edge_pairs``) to
+    the first image, the indices of the vertices whose link graph stayed
     split and that lower bound on the rank.
     """
     triangles = squares = rank = 0
-    cyc: Dict[int, GeneratorCycle] = {}
+    cyc: Dict[frozenset, tuple] = {}
     split: List[int] = []
-    for v, down in enumerate(_down_edges(g)):
+    for v, gamma in enumerate(g.vertices):
+        down = _down_folds(gamma)
         n = len(down)
         if n < 2:
             continue
         _, parts, crossings = _link_forest(g, v, down, cyc)
         # two distinct folds share at most one index
-        deg = [0] * len(g.vertices[v].roots)
+        deg = [0] * len(gamma.roots)
         for p, q in down:
             deg[p] += 1
             deg[q] += 1
@@ -561,7 +589,7 @@ def verify_span(g: SubexprGraph) -> dict:
     components = g.n_components()
     dim = g.n_edges - g.n_vertices + components
     triangles, squares, cyc, split, rank = link_check(g)
-    lengths = {c.length for c in cyc.values()}
+    lengths = {len(masks) for _, _, masks in cyc.values()}
     if triangles:
         lengths.add(3)
     if squares:

@@ -252,16 +252,19 @@ def test_verify_span_and_lengths(b2_graphs, g2_graphs):
             assert set(rep["lengths"]) <= {3, 4, n + 2}
 
 
-def test_counts_need_no_edges_and_the_span_check_reads_them():
-    # |E|, connectivity and the dimension come from the assembly's counts;
-    # the span verdict reads the graph's edges
+def test_counts_and_the_span_check_need_no_edges():
+    # |E|, connectivity and the dimension come from the assembly's counts,
+    # and the span verdict reads each vertex's down-folds from its roots:
+    # no edge list is built, also where the link check resolves a
+    # crossing into Cyc images (length 5 in A2~)
     a2t = named_system("A2~")
     expr = Expression(a2t, (1, 2, 1, 0, 1, 0, 1, 2, 1, 2, 0, 2))
     g = build_graph(expr, a2t.identity())
     assert g.n_edges > 0 and is_connected(g) and cycle_space_dim(g) > 0
     assert "edges" not in vars(g)
     rep = verify_span(g)
-    assert "edges" in vars(g)
+    assert 5 in rep["lengths"]
+    assert "edges" not in vars(g) and "edge_index" not in vars(g)
     assert rep["ok"] and rep["n_edges"] == len(g.edges)
 
 
@@ -358,6 +361,34 @@ def _down_edges(gamma):
             if abs(r[p]) == r[q] > 0]
 
 
+def _edge_folds(g):
+    """Each vertex's down-edges, read from the graph's edges as folds.
+
+    An edge is a down-edge of its greater end gamma, read as its fold
+    (p, q), p < q, which must flip just bits p and q and have
+    |r_p| = r_q > 0 at gamma (ConditionViolated otherwise)."""
+    verts = g.vertices
+    downs = [[] for _ in verts]
+    for eid, (a, b, _) in enumerate(g.edges):
+        gamma = verts[b]
+        diff = verts[a].mask ^ gamma.mask
+        p, q = (diff & -diff).bit_length() - 1, diff.bit_length() - 1
+        if (diff != 1 << p | 1 << q
+                or not abs(gamma.roots[p]) == gamma.roots[q] > 0):
+            raise ConditionViolated(
+                f"edge {eid} is not a down-edge of vertex {b}")
+        downs[b].append((p, q))
+    return downs
+
+
+def _assert_folds_are_the_edges(g):
+    """The folds the program reads from the roots are the ones the
+    graph's edges give, in (q, p) order."""
+    want = [sorted(down, key=lambda pq: (pq[1], pq[0]))
+            for down in _edge_folds(g)]
+    assert [cyclespace._down_folds(gamma) for gamma in g.vertices] == want
+
+
 def _crossing(f1, f2):
     (i, j), (k, l) = sorted((f1, f2))
     return i < k < j < l
@@ -391,10 +422,9 @@ def _link_split(g, joined, resolve=True):
         for f1, f2 in itertools.combinations(specials, 2):
             if not resolve or not _crossing(f1, f2) or part[f1] is part[f2]:
                 continue
-            for c in cyclespace._resolve_crossing(g, v, f1, f2):
-                if c.anchor_mask == gamma.mask:
-                    ends = [gamma.mask ^ m for m in (c.vertex_masks[1],
-                                                     c.vertex_masks[-1])]
+            for _, _, masks in cyclespace._resolve_crossing(g, v, f1, f2):
+                if masks[0] == gamma.mask:
+                    ends = [gamma.mask ^ m for m in (masks[1], masks[-1])]
                     join(*[tuple(i for i in range(len(gamma.roots))
                                  if d >> i & 1) for d in ends])
         if len({id(p) for p in part.values()}) > 1:
@@ -410,9 +440,11 @@ def test_link_pairs_are_the_scan_instances(type_name, max_len):
     # instances anchored there, each met once: a shared index makes a
     # triangle, disjoint or nested folds a square. The link check counts
     # the same triangles and squares. The folds the program reads from
-    # the edges are the ones the roots give.
+    # the roots are the ones the edges give.
     for g in _graphs_of(type_name, max_len):
-        assert [sorted(down) for down in cyclespace._down_edges(g)] == \
+        _assert_folds_are_the_edges(g)
+        assert [sorted(cyclespace._down_folds(gamma))
+                for gamma in g.vertices] == \
             [sorted(_down_edges(gamma)) for gamma in g.vertices]
         at = collections.defaultdict(list)     # anchor -> fold pairs at it
         for c in scan_generators(g):
@@ -491,17 +523,15 @@ def test_split_vertices_fail_the_report(b2_graphs, monkeypatch):
     assert failed
 
 
-def test_link_check_reads_the_graph_edges(b2_graphs):
-    # The link graphs are built from the graph's edges: dropping the top
-    # vertex's down-edges lowers the certified rank by their number less
-    # one. An edge is refused when its vertices are more than one fold
-    # apart, even if the outer two bits meet the fold condition, or when
-    # it is listed from its lower end.
+def test_down_folds_are_the_graph_edges(b2_graphs, g2_graphs):
+    # The link check reads each vertex's down-folds from its roots; the
+    # edge list, assembled on its own, gives the same folds in the same
+    # order. The edge reader refuses an edge whose vertices are more
+    # than one fold apart, even if the outer two bits meet the fold
+    # condition, and an edge listed from its lower end.
+    for g in b2_graphs + g2_graphs:
+        _assert_folds_are_the_edges(g)
     g = max(b2_graphs, key=cycle_space_dim)
-    top = g.n_vertices - 1
-    kept = [e for e in g.edges if e[1] != top]
-    h = graph_with_edges(g, kept)
-    assert link_check(h)[4] == link_check(g)[4] - (g.n_edges - len(kept) - 1)
 
     def fold_at(a, b):
         diff = g.vertices[a].mask ^ g.vertices[b].mask
@@ -515,7 +545,7 @@ def test_link_check_reads_the_graph_edges(b2_graphs):
     for bad in (far, (b, a, color)):
         h = graph_with_edges(g, sorted(g.edges + [bad]))
         with pytest.raises(ConditionViolated):
-            link_check(h)
+            _edge_folds(h)
 
 
 @pytest.fixture(scope="module")
