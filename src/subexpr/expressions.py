@@ -61,42 +61,41 @@ class Expression:
 
 
 class Subexpression:
-    """A bit mask on an expression with cached prefix elements and roots.
+    """A bit mask on an expression with cached prefix roots.
 
-    prefix_ids[i] is the intern id of gamma^{<i+1} (prefix_ids[0] = identity),
-    roots[i] the signed root id of gamma^{->i+1}.  The bit tuple is worked
-    out from the mask on first read.
+    roots[i] is the signed root id of gamma^{->i+1}, and prefix_ids[i] the
+    intern id of gamma^{<i+1} (prefix_ids[0] = identity).  A vertex made
+    from a subexpr_classes record stores only its mask and roots: the bit
+    tuple and the prefix ids are worked out from the mask on first read.
     """
 
-    __slots__ = ("expr", "_bits", "prefix_ids", "roots", "mask")
+    __slots__ = ("expr", "_bits", "_prefix_ids", "roots", "mask")
 
-    def __init__(self, expr: Expression, bits, prefix_ids=None, roots=None):
+    def __init__(self, expr: Expression, bits):
         self.expr = expr
         self._bits = bits = tuple(int(b) for b in bits)
         if len(bits) != len(expr):
             raise ValueError("bit sequence length mismatch")
-        if prefix_ids is None:
-            sys_ = expr.system
-            pids = [0]
-            rids = []
-            eid = 0
-            for g, b in zip(expr.letters, bits):
-                rids.append(sys_.arrow_root(eid, g))
-                if b:
-                    eid = sys_.multiply_gen(eid, g)
-                pids.append(eid)
-            prefix_ids, roots = tuple(pids), tuple(rids)
-        self.prefix_ids = prefix_ids
-        self.roots = roots
+        sys_ = expr.system
+        pids = [0]
+        rids = []
+        eid = 0
+        for g, b in zip(expr.letters, bits):
+            rids.append(sys_.arrow_root(eid, g))
+            if b:
+                eid = sys_.multiply_gen(eid, g)
+            pids.append(eid)
+        self._prefix_ids = tuple(pids)
+        self.roots = tuple(rids)
         self.mask = sum(b << i for i, b in enumerate(bits))
 
     @classmethod
-    def from_record(cls, expr: Expression, mask: int, prefix_ids, roots):
+    def from_record(cls, expr: Expression, mask: int, roots):
         """A vertex from a subexpr_classes record, stored as given."""
         self = cls.__new__(cls)
         self.expr = expr
         self._bits = None
-        self.prefix_ids = prefix_ids
+        self._prefix_ids = None
         self.roots = roots
         self.mask = mask
         return self
@@ -109,6 +108,20 @@ class Subexpression:
             bits = self._bits = tuple((mask >> i) & 1
                                       for i in range(len(self.expr)))
         return bits
+
+    @property
+    def prefix_ids(self) -> Tuple[int, ...]:
+        pids = self._prefix_ids
+        if pids is None:
+            mul = self.expr.system.multiply_gen
+            eid = 0
+            pids = [0]
+            for g, b in zip(self.expr.letters, self.bits):
+                if b:
+                    eid = mul(eid, g)
+                pids.append(eid)
+            pids = self._prefix_ids = tuple(pids)
+        return pids
 
     # -- accessors ------------------------------------------------------------
 
@@ -239,52 +252,102 @@ def subexpr_classes(expr: Expression,
                     target: Optional[int] = None) -> Dict[int, list]:
     """Subexpressions of expr grouped by target id.
 
-    Returns {target eid: [(mask, prefix_ids, roots), ...]} using a DFS that
-    shares prefix computations between bit sequences.  Without a target
-    the DFS walks all 2^m bit sequences.  With a target eid it first builds
-    the backward live sets live[i], the prefixes at position i from which
-    some choice of the remaining letters reaches the target, and enters
-    only live states: the cost follows the size of the class, and the
-    result is {target: records} with the records of the full walk in the
-    same order, or {} when no subexpression has that target.
+    Returns {target eid: [(mask, roots, down), ...]}, one record per
+    subexpression, with roots its prefix root ids and down its number of
+    down-folds (see SubexprGraph), in vertex order.  Two subexpressions of
+    a class agree after their last differing position i, so their roots
+    after i are equal and their roots at i are opposite: order_compare is
+    the comparison of the integers whose bit q is the sign of the root at
+    q, and no two subexpressions of a class tie.
+
+    Without a target every one of the 2^m bit sequences is walked.  With a
+    target eid the walk first builds the backward live sets live[i], the
+    prefixes at position i from which some choice of the remaining letters
+    reaches the target, and enters only live states: the cost follows the
+    size of the class, and the result is {target: records} with the
+    records of the full walk, or {} when no subexpression has that target.
+
+    A state is a position i and a prefix id.  One depth-first pass over
+    the states, tabling each on first entry, makes the step table: per
+    state the root at i and the prefix ids of its two children.  It calls arrow_root
+    and multiply_gen in the order of a walk over every bit sequence, so
+    elements and roots are interned in that order whatever the target.
+    The walk then moves, position by position, the groups of
+    subexpressions that share a prefix id: one table read per group.
     """
     sys_ = expr.system
     m = len(expr)
     if m > ENUMERATION_LIMIT:
         raise TooLarge(f"expression length {m} exceeds the limit "
                        f"{ENUMERATION_LIMIT}")
+    letters = expr.letters
     live = None
     if target is not None:
         live = [{target}]
-        for g in reversed(expr.letters):
+        for g in reversed(letters):
             live.append(live[-1] | {sys_.multiply_gen(x, g) for x in live[-1]})
         live.reverse()
         if 0 not in live[0]:
             return {}
+    steps = [{} for _ in range(m)]      # steps[i][eid] = (root, stay, go)
+
+    def enter(i, eid):
+        # eid if the state (i, eid) is live, tabled on first entry; else None
+        if live is not None and eid not in live[i]:
+            return None
+        if i < m and eid not in steps[i]:
+            g = letters[i]
+            rid = sys_.arrow_root(eid, g)
+            stay = enter(i + 1, eid)
+            steps[i][eid] = (rid, stay, enter(i + 1, sys_.multiply_gen(eid, g)))
+        return eid
+
+    enter(0, 0)
+    # prefix id -> parallel lists of masks, sort keys, down-fold counts and
+    # root tuples of the subexpressions that reach it
+    groups = {0: ([0], [0], [0], [()])}
+    for i, row in enumerate(steps):
+        bit = 1 << i
+        nxt: Dict[int, tuple] = {}
+        while groups:
+            # popped, so that a group's tuples are freed once its
+            # children hold the longer ones
+            eid, (masks, keys, downs, roots) = groups.popitem()
+            rid, stay, go = row[eid]
+            if rid > 0:
+                # bit i of the key is the sign of the root at i; a positive
+                # root closes a down-fold with each earlier position
+                # holding it up to sign
+                keys = [k | bit for k in keys]
+                downs = [d + r.count(rid) + r.count(-rid)
+                         for d, r in zip(downs, roots)]
+            tail = (rid,)
+            roots = [r + tail for r in roots]
+            if stay is not None:
+                _gather(nxt, stay, masks, keys, downs, roots)
+            if go is not None:
+                _gather(nxt, go, [x | bit for x in masks], keys, downs, roots)
+        groups = nxt
     classes: Dict[int, list] = {}
-    pids = [0] * (m + 1)
-    rids = [0] * m
-    mask = [0]
-
-    def walk(i, eid):
-        if i == m:
-            rec = (mask[0], tuple(pids), tuple(rids))
-            classes.setdefault(eid, []).append(rec)
-            return
-        g = expr.letters[i]
-        rids[i] = sys_.arrow_root(eid, g)
-        if live is None or eid in live[i + 1]:
-            pids[i + 1] = eid
-            walk(i + 1, eid)
-        eid2 = sys_.multiply_gen(eid, g)
-        if live is None or eid2 in live[i + 1]:
-            pids[i + 1] = eid2
-            mask[0] |= 1 << i
-            walk(i + 1, eid2)
-            mask[0] &= ~(1 << i)
-
-    walk(0, 0)
+    while groups:
+        eid, (masks, keys, downs, roots) = groups.popitem()
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        classes[eid] = [(masks[k], roots[k], downs[k]) for k in order]
     return classes
+
+
+def _gather(groups: Dict[int, tuple], eid: int, masks, keys, downs,
+            roots) -> None:
+    """Append the parallel lists to the group of prefix eid; a new group
+    gets copies, since both children of a group share its lists."""
+    lists = groups.get(eid)
+    if lists is None:
+        groups[eid] = (masks[:], keys[:], downs[:], roots[:])
+    else:
+        lists[0].extend(masks)
+        lists[1].extend(keys)
+        lists[2].extend(downs)
+        lists[3].extend(roots)
 
 
 class _BuiltOnFirstUse:
@@ -425,35 +488,11 @@ class SubexprGraph:
 
 
 def _graph_from_records(expr: Expression, eid: int, records) -> SubexprGraph:
-    # Two vertices of a class agree after their last differing position i,
-    # so their roots after i are equal and their roots at i are opposite:
-    # order_compare is the comparison of the integers whose bit q is the
-    # sign of the root at q, and no two vertices of a class tie.  The same
-    # pass counts each record's down-folds: per positive root at q, the
-    # earlier positions holding it up to sign.
-    bit = [1 << q for q in range(len(expr))]
-    keyed = []
-    n_edges = n_minima = 0
-    for rec in records:
-        key = 0
-        down = 0
-        seen = []                              # |root| at each position so far
-        for bq, rid in zip(bit, rec[2]):
-            if rid > 0:
-                key |= bq
-                down += seen.count(rid)
-                seen.append(rid)
-            else:
-                seen.append(-rid)
-        n_edges += down
-        if not down:
-            n_minima += 1
-        keyed.append((key, rec))
-    keyed.sort(key=lambda kr: kr[0])
-    verts = [Subexpression.from_record(expr, mask, pids, rids)
-             for _, (mask, pids, rids) in keyed]
+    verts = [Subexpression.from_record(expr, mask, roots)
+             for mask, roots, _ in records]
     vidx = {v.mask: i for i, v in enumerate(verts)}
-    return SubexprGraph(expr, eid, verts, vidx, n_edges, n_minima)
+    downs = [down for _, _, down in records]
+    return SubexprGraph(expr, eid, verts, vidx, sum(downs), downs.count(0))
 
 
 def build_graph(expr: Expression, w: Element) -> SubexprGraph:

@@ -188,6 +188,78 @@ def test_pruned_walk_matches_full_walk():
     assert n_classes == 18355
 
 
+# -- the recursive walk the grouped one replaced, kept as a reference --------
+
+def _reference_walk(expr, target=None):
+    """{target eid: [(mask, prefix_ids, roots), ...]} in walk order, by one
+    recursive call per prefix state, entering only live states."""
+    sys_ = expr.system
+    m = len(expr)
+    live = None
+    if target is not None:
+        live = [{target}]
+        for g in reversed(expr.letters):
+            live.append(live[-1] | {sys_.multiply_gen(x, g) for x in live[-1]})
+        live.reverse()
+        if 0 not in live[0]:
+            return {}
+    classes = {}
+    pids = [0] * (m + 1)
+    rids = [0] * m
+    mask = [0]
+
+    def walk(i, eid):
+        if i == m:
+            classes.setdefault(eid, []).append(
+                (mask[0], tuple(pids), tuple(rids)))
+            return
+        g = expr.letters[i]
+        rids[i] = sys_.arrow_root(eid, g)
+        if live is None or eid in live[i + 1]:
+            pids[i + 1] = eid
+            walk(i + 1, eid)
+        eid2 = sys_.multiply_gen(eid, g)
+        if live is None or eid2 in live[i + 1]:
+            pids[i + 1] = eid2
+            mask[0] |= 1 << i
+            walk(i + 1, eid2)
+            mask[0] &= ~(1 << i)
+
+    walk(0, 0)
+    return classes
+
+
+def test_walk_keeps_the_intern_order_of_the_recursive_walk():
+    # from a fresh system, elements and roots are interned in the order
+    # the recursive walk interns them, for the full walk and for one
+    # target per word (that of the subexpression of the even positions),
+    # so class order, DOT files and certificates do not move; the records
+    # are the recursive walk's, in vertex order
+    n_cases = 0
+    for expr in _assembly_words():
+        for whole in (True, False):
+            runs = []
+            for walk in (_reference_walk, subexpr_classes):
+                sys_ = new_system(expr.system.cox_matrix)
+                e = Expression(sys_, expr.letters)
+                target = None
+                if not whole:
+                    target = sys_.element_id(
+                        sys_.element_from_word(e.letters[::2]).matrix)
+                classes = walk(e, target)
+                runs.append((list(sys_._elem_ids),
+                             [r.tobytes() for r in sys_._roots], classes))
+            (want_elems, want_roots, want), (elems, roots, got) = runs
+            assert elems == want_elems and roots == want_roots
+            assert sorted(got) == sorted(want)
+            for eid, recs in want.items():
+                recs = sorted(recs, key=lambda r: [x > 0 for x in reversed(r[2])])
+                assert [(r[0], r[1]) for r in got[eid]] == [
+                    (mask, rids) for mask, _, rids in recs]
+            n_cases += 1
+    assert n_cases == 2 * (1832 + 1)
+
+
 def test_fold_edges_are_the_hamming_two_pairs():
     # Sub(s,w) joins two members of a class exactly when they differ in two
     # positions; edges ascend strictly in (a, b)
@@ -212,11 +284,9 @@ def test_fold_edges_are_the_hamming_two_pairs():
 
 def _reference_assembly(expr, records):
     """Vertices, edges, vertex index, edge index and incidence as the
-    eager assembly built them: bits re-derived per vertex, a tuple sort
-    key, and every index built when the graph is made."""
-    verts = [Subexpression(expr, [(mask >> i) & 1 for i in range(len(expr))],
-                           pids, rids)
-             for mask, pids, rids in records]
+    eager assembly built them: each vertex rebuilt from its mask alone, a
+    tuple sort key, and every index built when the graph is made."""
+    verts = [subexpr_from_mask(expr, mask) for mask, _, _ in records]
     verts.sort(key=lambda v: tuple(r > 0 for r in reversed(v.roots)))
     vidx = {v.mask: i for i, v in enumerate(verts)}
     edges = []
